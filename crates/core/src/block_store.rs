@@ -1,5 +1,5 @@
-//! A capacity-bounded store of 4 KB cache blocks with LRU bookkeeping and a
-//! dirty-age index.
+//! A capacity-bounded store of 4 KB cache blocks with LRU bookkeeping, a
+//! dirty-age index and, for the omniscient policy, a next-modify index.
 //!
 //! Mirrors the structure §2.1 describes for Sprite's client caches: blocks
 //! carry access and modify times, dirty state is tracked at byte
@@ -7,10 +7,38 @@
 //! dirties only those bytes, but replacement operates on whole blocks), and
 //! the block cleaner needs to find blocks whose dirty data has aged past
 //! the write-back delay.
+//!
+//! # The next-modify index
+//!
+//! The omniscient policy (§2.4) evicts the resident block whose next
+//! modification is furthest in the future. A store built with
+//! [`BlockStore::with_next_modify`] keeps every resident block in an
+//! ordered set of `(key, block)` pairs and answers
+//! [`BlockStore::furthest_next_modify`] in O(log n) amortized. A block
+//! enters the set with key [`SimTime::ZERO`]. At a pick at time `now`,
+//! every pair with key `<= now` is popped and re-keyed with
+//! [`OmniscientSchedule::next_modify`]`(block, now)`; the victim is then
+//! the largest pair, so ties on time go to the largest [`BlockId`].
+//!
+//! This is exact as long as pick times never go backwards (checked by a
+//! `debug_assert`). Every stored key is `next_modify(block, s)` for some
+//! earlier pick time `s <= now`. A key still `> now` means the block has
+//! no modification in `(s, now]`, so it is also `next_modify(block, now)`;
+//! every other key was just refreshed.
+//!
+//! Keys expire by time, not by store events, on purpose. A heap that
+//! pushes a new key when the store sees a modification and discards stale
+//! entries on pop would be wrong here: a truncation that kills dirty bytes
+//! leaves the block resident, and another client's write to a shared
+//! block advances the schedule without touching this store. In both cases
+//! the block's true key rises with no store event to push it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
+
+use crate::omniscient::OmniscientSchedule;
 
 /// One cached block.
 #[derive(Debug, Clone)]
@@ -25,6 +53,8 @@ pub struct BlockEntry {
     pub dirty_since: Option<SimTime>,
     /// Key into the LRU index.
     lru_key: (SimTime, u64),
+    /// Key into the next-modify index (unused without one).
+    next_modify_key: SimTime,
 }
 
 impl BlockEntry {
@@ -70,7 +100,17 @@ pub struct BlockStore {
     blocks: BTreeMap<BlockId, BlockEntry>,
     lru: BTreeMap<(SimTime, u64), BlockId>,
     dirty_age: BTreeMap<(SimTime, BlockId), ()>,
+    next_modify: Option<NextModifyIndex>,
     tie: u64,
+}
+
+/// Resident blocks ordered by next modification time (see the module
+/// docs for why lazily expiring keys are exact).
+#[derive(Debug, Clone)]
+struct NextModifyIndex {
+    schedule: Arc<OmniscientSchedule>,
+    keys: BTreeSet<(SimTime, BlockId)>,
+    last_pick: SimTime,
 }
 
 impl BlockStore {
@@ -79,6 +119,19 @@ impl BlockStore {
         BlockStore {
             capacity,
             ..BlockStore::default()
+        }
+    }
+
+    /// Creates a store that also keeps the next-modify index over
+    /// `schedule`, for [`Self::furthest_next_modify`].
+    pub fn with_next_modify(capacity: usize, schedule: Arc<OmniscientSchedule>) -> Self {
+        BlockStore {
+            next_modify: Some(NextModifyIndex {
+                schedule,
+                keys: BTreeSet::new(),
+                last_pick: SimTime::ZERO,
+            }),
+            ..BlockStore::new(capacity)
         }
     }
 
@@ -134,6 +187,7 @@ impl BlockStore {
         assert!(!self.blocks.contains_key(&id), "block {id} already cached");
         let key = (last_access, self.next_tie());
         self.lru.insert(key, id);
+        self.index_next_modify(id);
         self.blocks.insert(
             id,
             BlockEntry {
@@ -142,6 +196,7 @@ impl BlockStore {
                 last_modify,
                 dirty_since: None,
                 lru_key: key,
+                next_modify_key: SimTime::ZERO,
             },
         );
     }
@@ -173,6 +228,7 @@ impl BlockStore {
         if let Some(since) = effective_since {
             self.dirty_age.insert((since, id), ());
         }
+        self.index_next_modify(id);
         self.blocks.insert(
             id,
             BlockEntry {
@@ -181,6 +237,7 @@ impl BlockStore {
                 last_modify,
                 dirty_since: effective_since,
                 lru_key: key,
+                next_modify_key: SimTime::ZERO,
             },
         );
     }
@@ -264,7 +321,59 @@ impl BlockStore {
         if let Some(since) = entry.dirty_since {
             self.dirty_age.remove(&(since, id));
         }
+        if let Some(index) = &mut self.next_modify {
+            index.keys.remove(&(entry.next_modify_key, id));
+        }
         Some(entry)
+    }
+
+    /// The resident block whose next modification after `now` is furthest
+    /// in the future (ties to the largest [`BlockId`]), or `None` if the
+    /// store is empty.
+    ///
+    /// Pops every expired key (`<= now`) and re-keys its block from the
+    /// schedule, so the cost is O(log n) per pick plus O(log n) per
+    /// scheduled modification of a resident block since the last pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store was not built with [`Self::with_next_modify`].
+    pub fn furthest_next_modify(&mut self, now: SimTime) -> Option<BlockId> {
+        let index = self
+            .next_modify
+            .as_mut()
+            .expect("omniscient victim selection needs a next-modify index");
+        debug_assert!(
+            now >= index.last_pick,
+            "pick at {now} precedes the previous pick at {}",
+            index.last_pick
+        );
+        index.last_pick = now;
+        while let Some(&(key, id)) = index.keys.first() {
+            // A `MAX` key is final: nothing modifies the block after it.
+            if key > now || key == SimTime::MAX {
+                break;
+            }
+            index.keys.pop_first();
+            let fresh = index.schedule.next_modify(id, now);
+            index.keys.insert((fresh, id));
+            self.blocks
+                .get_mut(&id)
+                .expect("indexed block is resident")
+                .next_modify_key = fresh;
+        }
+        index.keys.last().map(|&(_, id)| id)
+    }
+
+    /// Reference for [`Self::furthest_next_modify`]: a scan of every
+    /// resident block against the schedule.
+    #[cfg(test)]
+    pub(crate) fn furthest_next_modify_scan(&self, now: SimTime) -> Option<BlockId> {
+        let schedule = &self.next_modify.as_ref()?.schedule;
+        self.iter()
+            .map(|(id, _)| (id, schedule.next_modify(id, now)))
+            .max_by_key(|&(id, t)| (t, id))
+            .map(|(id, _)| id)
     }
 
     /// The least-recently accessed block, if any.
@@ -350,7 +459,28 @@ impl BlockStore {
                 _ => return false,
             }
         }
-        self.blocks.values().filter(|e| e.is_dirty()).count() == self.dirty_age.len()
+        if self.blocks.values().filter(|e| e.is_dirty()).count() != self.dirty_age.len() {
+            return false;
+        }
+        // n distinct pairs, each matching the key its resident block
+        // stores: exactly one pair per resident block.
+        let Some(index) = &self.next_modify else {
+            return true;
+        };
+        index.keys.len() == self.blocks.len()
+            && index.keys.iter().all(|&(key, id)| {
+                self.blocks
+                    .get(&id)
+                    .is_some_and(|e| e.next_modify_key == key)
+            })
+    }
+
+    /// Enters a newly inserted block into the next-modify index with an
+    /// already-expired key, so the next pick computes its real one.
+    fn index_next_modify(&mut self, id: BlockId) {
+        if let Some(index) = &mut self.next_modify {
+            index.keys.insert((SimTime::ZERO, id));
+        }
     }
 
     fn next_tie(&mut self) -> u64 {
@@ -362,9 +492,145 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvfs_trace::op::{Op, OpKind, OpStream};
+    use nvfs_types::{ClientId, BLOCK_SIZE};
 
     fn bid(f: u32, i: u64) -> BlockId {
         BlockId::new(FileId(f), i)
+    }
+
+    /// A schedule from `(secs, client, kind)` ops.
+    fn schedule(ops: Vec<(u64, u32, OpKind)>) -> Arc<OmniscientSchedule> {
+        let ops: OpStream = ops
+            .into_iter()
+            .map(|(t, c, kind)| Op {
+                time: SimTime::from_secs(t),
+                client: ClientId(c),
+                kind,
+            })
+            .collect();
+        Arc::new(OmniscientSchedule::build(&ops))
+    }
+
+    fn write(f: u32, i: u64) -> OpKind {
+        OpKind::Write {
+            file: FileId(f),
+            range: bid(f, i).byte_range(),
+        }
+    }
+
+    /// The index's victim at `secs`, checked against the scan.
+    fn pick(s: &mut BlockStore, secs: u64) -> BlockId {
+        let now = SimTime::from_secs(secs);
+        let victim = s.furthest_next_modify(now);
+        assert_eq!(victim, s.furthest_next_modify_scan(now), "at {now}");
+        assert!(s.check_invariants());
+        victim.expect("store is non-empty")
+    }
+
+    #[test]
+    fn truncated_block_stays_resident_and_its_key_expires() {
+        // Both blocks are written at 0 s. Block 1 is cut at 10 s and
+        // rewritten at 1000 s; block 0 is next written at 500 s.
+        let sched = schedule(vec![
+            (0, 0, write(0, 0)),
+            (0, 0, write(0, 1)),
+            (
+                10,
+                0,
+                OpKind::Truncate {
+                    file: FileId(0),
+                    new_len: BLOCK_SIZE,
+                },
+            ),
+            (500, 0, write(0, 0)),
+            (1000, 0, write(0, 1)),
+        ]);
+        let mut s = BlockStore::with_next_modify(2, sched);
+        for i in 0..2 {
+            s.insert(bid(0, i), SimTime::ZERO);
+            s.mark_dirty(bid(0, i), bid(0, i).byte_range(), SimTime::ZERO);
+        }
+        assert_eq!(pick(&mut s, 2), bid(0, 0), "keys 500 s vs 10 s");
+        // The truncation kills block 1's dirty bytes but leaves it cached:
+        // no store event re-keys it, yet its next modify is now 1000 s.
+        assert_eq!(s.kill_dirty(bid(0, 1), bid(0, 1).byte_range()), BLOCK_SIZE);
+        assert!(s.contains(bid(0, 1)));
+        assert_eq!(pick(&mut s, 20), bid(0, 1), "keys 500 s vs 1000 s");
+        // Past 500 s block 0 is never modified again.
+        assert_eq!(pick(&mut s, 600), bid(0, 0));
+    }
+
+    #[test]
+    fn another_clients_write_re_keys_a_resident_block() {
+        // Client 1 writes block 0 at 10 s and 1000 s; this store (client
+        // 0's) never sees either write.
+        let sched = schedule(vec![
+            (10, 1, write(0, 0)),
+            (500, 0, write(0, 1)),
+            (1000, 1, write(0, 0)),
+        ]);
+        let mut s = BlockStore::with_next_modify(2, sched);
+        s.insert(bid(0, 0), SimTime::ZERO);
+        s.insert(bid(0, 1), SimTime::ZERO);
+        assert_eq!(pick(&mut s, 2), bid(0, 1));
+        assert_eq!(pick(&mut s, 10), bid(0, 0), "a modify at `now` is past");
+        assert_eq!(pick(&mut s, 20), bid(0, 0));
+    }
+
+    #[test]
+    fn evicted_and_reinserted_block_is_re_keyed() {
+        let sched = schedule(vec![(10, 0, write(0, 0)), (500, 0, write(0, 1))]);
+        let mut s = BlockStore::with_next_modify(2, sched);
+        s.insert(bid(0, 0), SimTime::ZERO);
+        s.insert(bid(0, 1), SimTime::ZERO);
+        assert_eq!(pick(&mut s, 2), bid(0, 1));
+        s.remove(bid(0, 1));
+        assert!(s.check_invariants());
+        s.insert(bid(0, 2), SimTime::from_secs(3));
+        assert_eq!(pick(&mut s, 3), bid(0, 2), "never modified");
+        s.remove(bid(0, 2));
+        s.insert(bid(0, 1), SimTime::from_secs(4));
+        assert_eq!(pick(&mut s, 4), bid(0, 1), "keys 10 s vs 500 s");
+        assert_eq!(pick(&mut s, 600), bid(0, 1), "both never modified");
+    }
+
+    #[test]
+    fn ties_at_max_go_to_the_largest_block_id() {
+        let mut s = BlockStore::with_next_modify(3, schedule(vec![]));
+        for id in [bid(0, 7), bid(1, 0), bid(0, 5)] {
+            s.insert(id, SimTime::ZERO);
+        }
+        assert_eq!(pick(&mut s, 0), bid(1, 0));
+        s.remove(bid(1, 0));
+        assert_eq!(pick(&mut s, 0), bid(0, 7));
+        // Keys at `MAX` are final, so a pick at `MAX` still terminates.
+        assert_eq!(s.furthest_next_modify(SimTime::MAX), Some(bid(0, 7)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "precedes the previous pick")]
+    fn picks_must_not_go_back_in_time() {
+        let mut s = BlockStore::with_next_modify(1, schedule(vec![]));
+        s.insert(bid(0, 0), SimTime::ZERO);
+        s.furthest_next_modify(SimTime::from_secs(5));
+        s.furthest_next_modify(SimTime::from_secs(4));
+    }
+
+    #[test]
+    fn invariants_catch_a_stale_index_pair() {
+        let mut s = BlockStore::with_next_modify(2, schedule(vec![]));
+        s.insert(bid(0, 0), SimTime::ZERO);
+        assert!(s.check_invariants());
+        let index = s.next_modify.as_mut().unwrap();
+        index.keys.insert((SimTime::MAX, bid(0, 9)));
+        assert!(!s.check_invariants(), "pair names an absent block");
+        let index = s.next_modify.as_mut().unwrap();
+        index.keys.remove(&(SimTime::MAX, bid(0, 9)));
+        index.keys.remove(&(SimTime::ZERO, bid(0, 0)));
+        index.keys.insert((SimTime::MAX, bid(0, 0)));
+        assert!(!s.check_invariants(), "pair key differs from the entry's");
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //!   (if dirty) and demoted to the volatile cache as a clean copy when it
 //!   is younger than the volatile LRU block.
 
+use std::sync::Arc;
+
 use nvfs_nvram::NvramDevice;
 use nvfs_types::{blocks_of_range, BlockId, ByteRange, ClientId, FileId, SimTime, BLOCK_SIZE};
 
 use crate::block_store::{BlockEntry, BlockStore};
-use crate::config::{CacheModelKind, SimConfig};
+use crate::config::{CacheModelKind, PolicyKind, SimConfig};
 use crate::metrics::TrafficStats;
+use crate::omniscient::OmniscientSchedule;
 use crate::policy::Policy;
 
 /// Why bytes were written from a client cache to the server.
@@ -95,15 +98,35 @@ pub struct ClientCache {
 }
 
 impl ClientCache {
-    /// Creates an empty cache for `client` per `config`.
-    pub fn new(config: &SimConfig, policy: Policy, client: ClientId) -> Self {
+    /// Creates an empty cache for `client` per `config`, with NVRAM
+    /// replacement by `config.policy`. The omniscient policy's NVRAM
+    /// store indexes resident blocks by their next modification in
+    /// `schedule`; other policies ignore it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.policy` is [`PolicyKind::Omniscient`] but
+    /// `schedule` is `None` — the omniscient policy cannot run without its
+    /// pre-pass.
+    pub fn new(
+        config: &SimConfig,
+        schedule: Option<&Arc<OmniscientSchedule>>,
+        client: ClientId,
+    ) -> Self {
+        let nvram = match config.policy {
+            PolicyKind::Omniscient => BlockStore::with_next_modify(
+                config.nvram_blocks(),
+                Arc::clone(schedule.expect("omniscient policy requires a prebuilt schedule")),
+            ),
+            _ => BlockStore::new(config.nvram_blocks()),
+        };
         ClientCache {
             model: config.model,
             dirty_preference: config.dirty_preference,
             client,
             volatile: BlockStore::new(config.volatile_blocks()),
-            nvram: BlockStore::new(config.nvram_blocks()),
-            policy,
+            nvram,
+            policy: Policy::from_kind(config.policy),
             device: NvramDevice::new(config.nvram_bytes)
                 .with_access_ratio(config.nvram_access_ratio),
             log: Vec::new(),
@@ -408,7 +431,7 @@ impl ClientCache {
     fn replace_nvram_write_aside(&mut self, t: SimTime, stats: &mut TrafficStats) {
         let victim = self
             .policy
-            .pick_victim(&self.nvram, t)
+            .pick_victim(&mut self.nvram, t)
             .expect("full NVRAM is non-empty");
         let entry = self.nvram.remove(victim).expect("victim is cached");
         self.flush_bytes(
@@ -430,7 +453,7 @@ impl ClientCache {
         }
         let victim = self
             .policy
-            .pick_victim(&self.nvram, t)
+            .pick_victim(&mut self.nvram, t)
             .expect("full NVRAM is non-empty");
         let entry = self.nvram.remove(victim).expect("victim is cached");
         if entry.is_dirty() {
@@ -923,7 +946,6 @@ impl ClientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PolicyKind;
 
     fn cfg(model: CacheModelKind, vol_blocks: u64, nv_blocks: u64) -> SimConfig {
         let mut c = SimConfig::volatile(vol_blocks * BLOCK_SIZE);
@@ -933,11 +955,7 @@ mod tests {
     }
 
     fn cache(model: CacheModelKind, vol_blocks: u64, nv_blocks: u64) -> ClientCache {
-        ClientCache::new(
-            &cfg(model, vol_blocks, nv_blocks),
-            Policy::from_kind(PolicyKind::Lru, None),
-            ClientId(0),
-        )
+        ClientCache::new(&cfg(model, vol_blocks, nv_blocks), None, ClientId(0))
     }
 
     fn block_range(i: u64) -> ByteRange {
@@ -1234,13 +1252,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "prebuilt schedule")]
+    fn omniscient_without_schedule_panics() {
+        let config = cfg(CacheModelKind::Unified, 4, 2).with_policy(PolicyKind::Omniscient);
+        let _ = ClientCache::new(&config, None, ClientId(0));
+    }
+
+    #[test]
     fn dirty_preference_spares_dirty_blocks() {
         let cfg_pref = cfg(CacheModelKind::Volatile, 2, 0).with_dirty_preference();
-        let mut c = ClientCache::new(
-            &cfg_pref,
-            Policy::from_kind(PolicyKind::Lru, None),
-            ClientId(0),
-        );
+        let mut c = ClientCache::new(&cfg_pref, None, ClientId(0));
         let mut s = TrafficStats::default();
         // Dirty LRU block plus a newer clean block.
         c.write(FileId(0), block_range(0), SimTime::from_secs(1), &mut s);

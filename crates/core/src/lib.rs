@@ -57,6 +57,8 @@ pub mod scrub;
 pub mod session;
 pub(crate) mod shard;
 pub mod sim;
+#[cfg(test)]
+mod victim_equivalence;
 
 pub use client::{ClientCache, FlushCause};
 pub use config::{CacheModelKind, ConsistencyMode, PolicyKind, SimConfig};

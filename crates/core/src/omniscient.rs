@@ -7,6 +7,13 @@
 //! be modified again — by an overwrite, a truncation, or the deletion of
 //! its file. [`OmniscientSchedule::next_modify`] then answers "when is this
 //! block next modified after `now`?" with a binary search.
+//!
+//! Victim selection does not query every resident block at each
+//! eviction. The omniscient client's NVRAM store keeps its blocks ordered
+//! by a cached `next_modify` key and re-queries only the keys that have
+//! expired (`<= now`) since the last pick; see the
+//! [`block_store`](crate::block_store) module docs for why that is exact,
+//! and why a heap that pushes keys on observed modifications would not be.
 
 use std::collections::BTreeMap;
 

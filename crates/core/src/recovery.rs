@@ -150,16 +150,15 @@ impl ClientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CacheModelKind, PolicyKind, SimConfig};
+    use crate::config::{CacheModelKind, SimConfig};
     use crate::metrics::TrafficStats;
-    use crate::policy::Policy;
     use nvfs_types::{ByteRange, BLOCK_SIZE};
 
     fn cache(model: CacheModelKind) -> ClientCache {
         let mut cfg = SimConfig::volatile(8 * BLOCK_SIZE);
         cfg.model = model;
         cfg.nvram_bytes = 4 * BLOCK_SIZE;
-        ClientCache::new(&cfg, Policy::from_kind(PolicyKind::Lru, None), ClientId(0))
+        ClientCache::new(&cfg, None, ClientId(0))
     }
 
     fn write_block(c: &mut ClientCache, file: u32, block: u64, t: u64) {

@@ -55,7 +55,6 @@ use crate::config::{CacheModelKind, ConsistencyMode, PolicyKind, SimConfig};
 use crate::consistency::ConsistencyServer;
 use crate::metrics::TrafficStats;
 use crate::omniscient::OmniscientSchedule;
-use crate::policy::Policy;
 use crate::recovery::{recover_up_to, snapshot_nvram, RecoveryError};
 
 /// Index of the first steady-state op for a warm-up `fraction` over a
@@ -570,13 +569,9 @@ impl<'cfg> SimEngine<'cfg> {
     ) {
         macro_rules! client {
             ($id:expr) => {
-                clients.entry($id).or_insert_with(|| {
-                    ClientCache::new(
-                        config,
-                        Policy::from_kind(config.policy, policy_schedule.clone()),
-                        $id,
-                    )
-                })
+                clients
+                    .entry($id)
+                    .or_insert_with(|| ClientCache::new(config, policy_schedule.as_ref(), $id))
             };
         }
         macro_rules! flush_event {

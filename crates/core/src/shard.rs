@@ -61,7 +61,6 @@ use crate::config::SimConfig;
 use crate::consistency::ConsistencyServer;
 use crate::metrics::TrafficStats;
 use crate::omniscient::OmniscientSchedule;
-use crate::policy::Policy;
 use crate::session::{dispatch, OpAction, RunHook, SessionEvent, SimEngine};
 
 /// Windows smaller than this replay inline on the driver thread: the
@@ -276,9 +275,10 @@ pub(crate) fn run_sharded(
         });
         let config = engine.config;
         let sched = &st.sched;
-        engine.clients.entry(c).or_insert_with(|| {
-            ClientCache::new(config, Policy::from_kind(config.policy, sched.clone()), c)
-        });
+        engine
+            .clients
+            .entry(c)
+            .or_insert_with(|| ClientCache::new(config, sched.as_ref(), c));
     }
 
     let mut start = 0usize;

@@ -10,7 +10,8 @@ use std::fmt::Write as _;
 
 /// One timed run: an experiment name, its wall-clock milliseconds
 /// (inclusive and exclusive of nested stages), the job count it ran with,
-/// and the run provenance (workload scale, git revision, iteration).
+/// and the run provenance (host cores, workload scale, git revision,
+/// iteration).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Experiment or stage name (e.g. `"gen-traces"`, `"fig3"`).
@@ -22,6 +23,8 @@ pub struct BenchRecord {
     pub excl_ms: f64,
     /// Job count the stage ran with.
     pub jobs: usize,
+    /// The host's available parallelism ([`crate::cores`]).
+    pub cores: usize,
     /// Workload scale name the stage ran at (e.g. `"tiny"`); empty until
     /// [`annotate`]d.
     pub scale: String,
@@ -47,6 +50,7 @@ pub fn timed<R>(
         wall_ms: span.wall_ms,
         excl_ms: span.excl_ms,
         jobs,
+        cores: crate::cores(),
         scale: String::new(),
         rev: String::new(),
         iter: 1,
@@ -65,7 +69,7 @@ pub fn annotate(records: &mut [BenchRecord], scale: &str, rev: &str, iter: usize
 }
 
 /// Serializes records as a JSON array of
-/// `{name, wall_ms, excl_ms, jobs, scale, rev, iter}` rows.
+/// `{name, wall_ms, excl_ms, jobs, cores, scale, rev, iter}` rows.
 ///
 /// Hand-rolled (the workspace builds offline, without serde); names are
 /// plain ASCII experiment identifiers, escaped defensively anyway.
@@ -76,11 +80,12 @@ pub fn to_json(records: &[BenchRecord]) -> String {
         let _ = writeln!(
             out,
             "  {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"excl_ms\": {:.3}, \"jobs\": {}, \
-             \"scale\": \"{}\", \"rev\": \"{}\", \"iter\": {}}}{sep}",
+             \"cores\": {}, \"scale\": \"{}\", \"rev\": \"{}\", \"iter\": {}}}{sep}",
             nvfs_obs::json::escape(&r.name),
             r.wall_ms,
             r.excl_ms,
             r.jobs,
+            r.cores,
             nvfs_obs::json::escape(&r.scale),
             nvfs_obs::json::escape(&r.rev),
             r.iter
@@ -103,6 +108,7 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].name, "first");
         assert_eq!(records[1].jobs, 4);
+        assert!(records.iter().all(|r| r.cores == crate::cores()));
     }
 
     #[test]
@@ -147,6 +153,7 @@ mod tests {
                 wall_ms: 12.5,
                 excl_ms: 12.5,
                 jobs: 1,
+                cores: 2,
                 scale: "tiny".into(),
                 rev: "abc123".into(),
                 iter: 1,
@@ -156,6 +163,7 @@ mod tests {
                 wall_ms: 0.25,
                 excl_ms: 0.25,
                 jobs: 4,
+                cores: 2,
                 scale: "mega".into(),
                 rev: "abc123".into(),
                 iter: 2,
@@ -166,11 +174,11 @@ mod tests {
         assert!(json.ends_with("]\n"));
         assert!(json.contains(
             "{\"name\": \"gen-traces\", \"wall_ms\": 12.500, \"excl_ms\": 12.500, \"jobs\": 1, \
-             \"scale\": \"tiny\", \"rev\": \"abc123\", \"iter\": 1},"
+             \"cores\": 2, \"scale\": \"tiny\", \"rev\": \"abc123\", \"iter\": 1},"
         ));
         assert!(json.contains(
             "{\"name\": \"fig3\", \"wall_ms\": 0.250, \"excl_ms\": 0.250, \"jobs\": 4, \
-             \"scale\": \"mega\", \"rev\": \"abc123\", \"iter\": 2}\n"
+             \"cores\": 2, \"scale\": \"mega\", \"rev\": \"abc123\", \"iter\": 2}\n"
         ));
     }
 
@@ -181,6 +189,7 @@ mod tests {
             wall_ms: 1.0,
             excl_ms: 1.0,
             jobs: 1,
+            cores: 1,
             scale: String::new(),
             rev: String::new(),
             iter: 1,

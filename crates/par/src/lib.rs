@@ -194,6 +194,12 @@ pub fn jobs() -> usize {
     if let Some(n) = env_jobs() {
         return n;
     }
+    cores()
+}
+
+/// The host's [`std::thread::available_parallelism`] (1 if unknown) —
+/// the default job count, and the core count bench records report.
+pub fn cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

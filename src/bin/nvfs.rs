@@ -783,8 +783,7 @@ fn cmd_bench(mut args: VecDeque<String>) -> Result<(), String> {
 
     let scale = parse_scale(&mut args)?;
     let (cfg, server_cfg) = (scale.trace_config(), scale.server_config());
-    let out =
-        PathBuf::from(take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH_pr9.json".into()));
+    let out = PathBuf::from(take_flag(&mut args, "--out")?.unwrap_or_else(|| "BENCH.json".into()));
     let iters: usize = match take_flag(&mut args, "--iters")? {
         Some(v) => v
             .parse()
