@@ -33,7 +33,9 @@
 //! block advances the schedule without touching this store. In both cases
 //! the block's true key rises with no store event to push it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use nvfs_types::{BlockId, ByteRange, FileId, RangeSet, SimTime};
@@ -51,13 +53,26 @@ pub struct BlockEntry {
     pub last_modify: SimTime,
     /// When the block first became dirty since it was last clean.
     pub dirty_since: Option<SimTime>,
-    /// Key into the LRU index.
-    lru_key: (SimTime, u64),
     /// Key into the next-modify index (unused without one).
     next_modify_key: SimTime,
 }
 
 impl BlockEntry {
+    fn new(
+        dirty: RangeSet,
+        last_access: SimTime,
+        last_modify: SimTime,
+        dirty_since: Option<SimTime>,
+    ) -> Self {
+        BlockEntry {
+            dirty,
+            last_access,
+            last_modify,
+            dirty_since,
+            next_modify_key: SimTime::ZERO,
+        }
+    }
+
     /// Whether the block holds any dirty bytes.
     pub fn is_dirty(&self) -> bool {
         !self.dirty.is_empty()
@@ -79,7 +94,61 @@ pub struct DirtyOutcome {
     pub overwritten: u64,
 }
 
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: a resident block and its links in the LRU list. A vacant
+/// slot (on the free list) keeps stale contents until it is reused.
+#[derive(Debug, Clone)]
+struct Slot {
+    id: BlockId,
+    entry: BlockEntry,
+    prev: u32,
+    next: u32,
+}
+
+/// The FxHash step, one multiply per hashed word: [`BlockId`]'s derived
+/// `Hash` feeds it the file id and the block index. Hash order depends on
+/// the hasher and the table's history, so the index built on it is only
+/// ever looked up, never iterated.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockIdHasher(u64);
+
+impl BlockIdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for BlockIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A bounded block cache with LRU and dirty-age indexes.
+///
+/// Entries live in a slab of slots found through a hash index. The slots
+/// are threaded on a doubly-linked LRU list ordered by
+/// `(last_access, order of the access)`: a block accessed at `t` goes
+/// after every block accessed at or before `t`. Op times never go
+/// backwards within one store, so touches and op-time inserts append at
+/// the tail in O(1); an insert with an older access time (demotion,
+/// hybrid aging) walks back from the tail to its exact place.
 ///
 /// # Examples
 ///
@@ -94,14 +163,22 @@ pub struct DirtyOutcome {
 /// assert_eq!(out.newly_dirty, 100);
 /// assert_eq!(s.total_dirty_bytes(), 100);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BlockStore {
     capacity: usize,
-    blocks: BTreeMap<BlockId, BlockEntry>,
-    lru: BTreeMap<(SimTime, u64), BlockId>,
+    /// Entry storage; `free` lists the vacant slots.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Resident block → its slot. Never iterated.
+    index: HashMap<BlockId, u32, BuildHasherDefault<BlockIdHasher>>,
+    /// Resident blocks in block order, for the block-ordered queries.
+    order: BTreeSet<BlockId>,
+    /// Least recently accessed end of the LRU list.
+    head: u32,
+    /// Most recently accessed end of the LRU list.
+    tail: u32,
     dirty_age: BTreeMap<(SimTime, BlockId), ()>,
     next_modify: Option<NextModifyIndex>,
-    tie: u64,
 }
 
 /// Resident blocks ordered by next modification time (see the module
@@ -113,12 +190,25 @@ struct NextModifyIndex {
     last_pick: SimTime,
 }
 
+impl Default for BlockStore {
+    fn default() -> Self {
+        BlockStore::new(0)
+    }
+}
+
 impl BlockStore {
     /// Creates a store holding at most `capacity` blocks.
     pub fn new(capacity: usize) -> Self {
         BlockStore {
             capacity,
-            ..BlockStore::default()
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
+            order: BTreeSet::new(),
+            head: NIL,
+            tail: NIL,
+            dirty_age: BTreeMap::new(),
+            next_modify: None,
         }
     }
 
@@ -142,27 +232,27 @@ impl BlockStore {
 
     /// Current number of blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.index.len()
     }
 
     /// Whether the store holds no blocks.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether the store is at capacity.
     pub fn is_full(&self) -> bool {
-        self.blocks.len() >= self.capacity
+        self.index.len() >= self.capacity
     }
 
     /// Whether `id` is cached.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     /// Borrows the entry for `id`.
     pub fn get(&self, id: BlockId) -> Option<&BlockEntry> {
-        self.blocks.get(&id)
+        self.index.get(&id).map(|&s| &self.slots[s as usize].entry)
     }
 
     /// Inserts a clean block accessed at `t`.
@@ -183,21 +273,9 @@ impl BlockStore {
     ///
     /// Panics if the store is full or the block is already present.
     pub fn insert_with_access(&mut self, id: BlockId, last_access: SimTime, last_modify: SimTime) {
-        assert!(!self.is_full(), "insert into full BlockStore; evict first");
-        assert!(!self.blocks.contains_key(&id), "block {id} already cached");
-        let key = (last_access, self.next_tie());
-        self.lru.insert(key, id);
-        self.index_next_modify(id);
-        self.blocks.insert(
+        self.insert_entry(
             id,
-            BlockEntry {
-                dirty: RangeSet::new(),
-                last_access,
-                last_modify,
-                dirty_since: None,
-                lru_key: key,
-                next_modify_key: SimTime::ZERO,
-            },
+            BlockEntry::new(RangeSet::new(), last_access, last_modify, None),
         );
     }
 
@@ -216,30 +294,18 @@ impl BlockStore {
         dirty: RangeSet,
         dirty_since: Option<SimTime>,
     ) {
-        assert!(!self.is_full(), "insert into full BlockStore; evict first");
-        assert!(!self.blocks.contains_key(&id), "block {id} already cached");
-        let key = (last_access, self.next_tie());
-        self.lru.insert(key, id);
         let effective_since = if dirty.is_empty() {
             None
         } else {
             dirty_since.or(Some(last_modify))
         };
+        self.insert_entry(
+            id,
+            BlockEntry::new(dirty, last_access, last_modify, effective_since),
+        );
         if let Some(since) = effective_since {
             self.dirty_age.insert((since, id), ());
         }
-        self.index_next_modify(id);
-        self.blocks.insert(
-            id,
-            BlockEntry {
-                dirty,
-                last_access,
-                last_modify,
-                dirty_since: effective_since,
-                lru_key: key,
-                next_modify_key: SimTime::ZERO,
-            },
-        );
     }
 
     /// Updates the access time of `id`.
@@ -248,12 +314,8 @@ impl BlockStore {
     ///
     /// Panics if `id` is not cached.
     pub fn touch(&mut self, id: BlockId, t: SimTime) {
-        let tie = self.next_tie();
-        let entry = self.blocks.get_mut(&id).expect("touch of uncached block");
-        self.lru.remove(&entry.lru_key);
-        entry.last_access = t;
-        entry.lru_key = (t, tie);
-        self.lru.insert(entry.lru_key, id);
+        let s = *self.index.get(&id).expect("touch of uncached block");
+        self.retouch(s, t);
     }
 
     /// Marks `range` (clipped to the block) dirty at time `t`, touching the
@@ -263,15 +325,13 @@ impl BlockStore {
     ///
     /// Panics if `id` is not cached.
     pub fn mark_dirty(&mut self, id: BlockId, range: ByteRange, t: SimTime) -> DirtyOutcome {
-        self.touch(id, t);
-        let entry = self
-            .blocks
-            .get_mut(&id)
-            .expect("mark_dirty of uncached block");
+        let s = *self.index.get(&id).expect("mark_dirty of uncached block");
+        self.retouch(s, t);
         let clipped = match id.byte_range().intersection(range) {
             Some(r) => r,
             None => return DirtyOutcome::default(),
         };
+        let entry = &mut self.slots[s as usize].entry;
         let overwritten = entry.dirty.overlap_bytes(clipped);
         let newly_dirty = entry.dirty.insert(clipped);
         entry.last_modify = t;
@@ -288,9 +348,10 @@ impl BlockStore {
     /// Clears all dirty state of `id` (it was written to the server or its
     /// data died). Returns the number of bytes that were dirty.
     pub fn clean(&mut self, id: BlockId) -> u64 {
-        let Some(entry) = self.blocks.get_mut(&id) else {
+        let Some(&s) = self.index.get(&id) else {
             return 0;
         };
+        let entry = &mut self.slots[s as usize].entry;
         let bytes = entry.dirty.len_bytes();
         entry.dirty.clear();
         if let Some(since) = entry.dirty_since.take() {
@@ -302,9 +363,10 @@ impl BlockStore {
     /// Kills the dirty bytes of `id` that fall within `range` (truncation).
     /// Returns the number of dirty bytes killed. The block stays cached.
     pub fn kill_dirty(&mut self, id: BlockId, range: ByteRange) -> u64 {
-        let Some(entry) = self.blocks.get_mut(&id) else {
+        let Some(&s) = self.index.get(&id) else {
             return 0;
         };
+        let entry = &mut self.slots[s as usize].entry;
         let killed = entry.dirty.remove(range);
         if !entry.is_dirty() {
             if let Some(since) = entry.dirty_since.take() {
@@ -316,8 +378,12 @@ impl BlockStore {
 
     /// Removes `id` entirely, returning its entry.
     pub fn remove(&mut self, id: BlockId) -> Option<BlockEntry> {
-        let entry = self.blocks.remove(&id)?;
-        self.lru.remove(&entry.lru_key);
+        let s = self.index.remove(&id)?;
+        self.unlink(s);
+        self.free.push(s);
+        self.order.remove(&id);
+        let vacant = BlockEntry::new(RangeSet::new(), SimTime::ZERO, SimTime::ZERO, None);
+        let entry = std::mem::replace(&mut self.slots[s as usize].entry, vacant);
         if let Some(since) = entry.dirty_since {
             self.dirty_age.remove(&(since, id));
         }
@@ -357,10 +423,8 @@ impl BlockStore {
             index.keys.pop_first();
             let fresh = index.schedule.next_modify(id, now);
             index.keys.insert((fresh, id));
-            self.blocks
-                .get_mut(&id)
-                .expect("indexed block is resident")
-                .next_modify_key = fresh;
+            let s = self.index[&id];
+            self.slots[s as usize].entry.next_modify_key = fresh;
         }
         index.keys.last().map(|&(_, id)| id)
     }
@@ -378,24 +442,25 @@ impl BlockStore {
 
     /// The least-recently accessed block, if any.
     pub fn lru_block(&self) -> Option<(BlockId, SimTime)> {
-        self.lru.iter().next().map(|(&(t, _), &id)| (id, t))
+        self.lru_slots()
+            .next()
+            .map(|slot| (slot.id, slot.entry.last_access))
     }
 
     /// The least-recently accessed *clean* block, if any (Sprite's volatile
     /// cache prefers replacing clean blocks; used by the dirty-preference
     /// ablation).
     pub fn lru_clean_block(&self) -> Option<(BlockId, SimTime)> {
-        self.lru
-            .iter()
-            .map(|(&(t, _), &id)| (id, t))
-            .find(|(id, _)| !self.blocks[id].is_dirty())
+        self.lru_slots()
+            .find(|slot| !slot.entry.is_dirty())
+            .map(|slot| (slot.id, slot.entry.last_access))
     }
 
     /// All cached blocks of `file`, in index order.
     pub fn file_blocks(&self, file: FileId) -> Vec<BlockId> {
-        self.blocks
+        self.order
             .range(BlockId::new(file, 0)..BlockId::new(FileId(file.0 + 1), 0))
-            .map(|(&id, _)| id)
+            .copied()
             .collect()
     }
 
@@ -420,12 +485,14 @@ impl BlockStore {
 
     /// Iterates over `(BlockId, &BlockEntry)` in block order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &BlockEntry)> {
-        self.blocks.iter().map(|(&id, e)| (id, e))
+        self.order
+            .iter()
+            .map(|&id| (id, &self.slots[self.index[&id] as usize].entry))
     }
 
     /// The `n`-th block in block order (for random replacement sampling).
     pub fn nth_block(&self, n: usize) -> Option<BlockId> {
-        self.blocks.keys().nth(n).copied()
+        self.order.iter().nth(n).copied()
     }
 
     /// Sum of dirty bytes across all blocks.
@@ -433,7 +500,7 @@ impl BlockStore {
         // The dirty_age index holds exactly the dirty blocks.
         self.dirty_age
             .keys()
-            .map(|&(_, id)| self.blocks[&id].dirty_bytes())
+            .map(|&(_, id)| self.slots[self.index[&id] as usize].entry.dirty_bytes())
             .sum()
     }
 
@@ -444,22 +511,50 @@ impl BlockStore {
 
     /// Verifies internal index consistency (for tests).
     pub fn check_invariants(&self) -> bool {
-        if self.blocks.len() > self.capacity || self.lru.len() != self.blocks.len() {
+        let n = self.index.len();
+        if n > self.capacity || self.order.len() != n || self.slots.len() != n + self.free.len() {
             return false;
         }
-        for (key, id) in &self.lru {
-            match self.blocks.get(id) {
-                Some(e) if e.lru_key == *key => {}
-                _ => return false,
+        // Every resident block has a slot naming it (so the slots are
+        // distinct), and that slot is not on the free list.
+        let live = |id: &BlockId| {
+            self.index.get(id).is_some_and(|&s| {
+                self.slots
+                    .get(s as usize)
+                    .is_some_and(|slot| slot.id == *id)
+            })
+        };
+        if !self.order.iter().all(live) || self.free.iter().any(|&s| self.is_live(s)) {
+            return false;
+        }
+        // The LRU list: back links match forward links, access times
+        // never decrease, and it visits exactly the n resident slots.
+        let (mut prev, mut cur, mut seen) = (NIL, self.head, 0);
+        let mut last_access = SimTime::ZERO;
+        while cur != NIL {
+            let Some(slot) = self.slots.get(cur as usize) else {
+                return false;
+            };
+            if seen == n
+                || slot.prev != prev
+                || !self.is_live(cur)
+                || slot.entry.last_access < last_access
+            {
+                return false;
             }
+            (prev, cur, seen) = (cur, slot.next, seen + 1);
+            last_access = slot.entry.last_access;
+        }
+        if self.tail != prev || seen != n {
+            return false;
         }
         for (&(since, id), ()) in &self.dirty_age {
-            match self.blocks.get(&id) {
+            match self.get(id) {
                 Some(e) if e.dirty_since == Some(since) && e.is_dirty() => {}
                 _ => return false,
             }
         }
-        if self.blocks.values().filter(|e| e.is_dirty()).count() != self.dirty_age.len() {
+        if self.iter().filter(|(_, e)| e.is_dirty()).count() != self.dirty_age.len() {
             return false;
         }
         // n distinct pairs, each matching the key its resident block
@@ -467,25 +562,109 @@ impl BlockStore {
         let Some(index) = &self.next_modify else {
             return true;
         };
-        index.keys.len() == self.blocks.len()
-            && index.keys.iter().all(|&(key, id)| {
-                self.blocks
-                    .get(&id)
-                    .is_some_and(|e| e.next_modify_key == key)
-            })
+        index.keys.len() == n
+            && index
+                .keys
+                .iter()
+                .all(|&(key, id)| self.get(id).is_some_and(|e| e.next_modify_key == key))
     }
 
-    /// Enters a newly inserted block into the next-modify index with an
-    /// already-expired key, so the next pick computes its real one.
-    fn index_next_modify(&mut self, id: BlockId) {
+    /// Whether slot `s` holds the resident block it names.
+    fn is_live(&self, s: u32) -> bool {
+        self.slots
+            .get(s as usize)
+            .is_some_and(|slot| self.index.get(&slot.id) == Some(&s))
+    }
+
+    /// Slots from least to most recently accessed.
+    fn lru_slots(&self) -> impl Iterator<Item = &Slot> {
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            // `NIL` lies past the end of the slab, so the walk stops there.
+            let slot = self.slots.get(cur as usize)?;
+            cur = slot.next;
+            Some(slot)
+        })
+    }
+
+    /// Places a new block in a slot, the hash index, the block order, the
+    /// LRU list and (with an already-expired key, so the next pick
+    /// computes its real one) the next-modify index.
+    fn insert_entry(&mut self, id: BlockId, entry: BlockEntry) {
+        assert!(!self.is_full(), "insert into full BlockStore; evict first");
+        let Entry::Vacant(vacant) = self.index.entry(id) else {
+            panic!("block {id} already cached");
+        };
+        let slot = Slot {
+            id,
+            entry,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = slot;
+                s
+            }
+            None => {
+                self.slots.push(slot);
+                u32::try_from(self.slots.len() - 1)
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("fewer than u32::MAX slots")
+            }
+        };
+        vacant.insert(s);
+        self.order.insert(id);
         if let Some(index) = &mut self.next_modify {
             index.keys.insert((SimTime::ZERO, id));
         }
+        self.link(s);
     }
 
-    fn next_tie(&mut self) -> u64 {
-        self.tie += 1;
-        self.tie
+    /// Moves slot `s` to its place for an access at `t`.
+    fn retouch(&mut self, s: u32, t: SimTime) {
+        self.unlink(s);
+        self.slots[s as usize].entry.last_access = t;
+        self.link(s);
+    }
+
+    /// Links unlinked slot `s` after the last slot accessed at or before
+    /// its own access time: the tail unless time went backwards, in which
+    /// case the walk back finds the exact place.
+    fn link(&mut self, s: u32) {
+        let t = self.slots[s as usize].entry.last_access;
+        let mut prev = self.tail;
+        while prev != NIL && self.slots[prev as usize].entry.last_access > t {
+            prev = self.slots[prev as usize].prev;
+        }
+        let next = match prev {
+            NIL => self.head,
+            p => self.slots[p as usize].next,
+        };
+        let slot = &mut self.slots[s as usize];
+        (slot.prev, slot.next) = (prev, next);
+        match prev {
+            NIL => self.head = s,
+            p => self.slots[p as usize].next = s,
+        }
+        match next {
+            NIL => self.tail = s,
+            n => self.slots[n as usize].prev = s,
+        }
+    }
+
+    /// Takes slot `s` out of the LRU list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
     }
 }
 
@@ -631,6 +810,57 @@ mod tests {
         index.keys.remove(&(SimTime::ZERO, bid(0, 0)));
         index.keys.insert((SimTime::MAX, bid(0, 0)));
         assert!(!s.check_invariants(), "pair key differs from the entry's");
+    }
+
+    #[test]
+    fn invariants_catch_a_broken_lru_list() {
+        let fresh = || {
+            let mut s = BlockStore::new(4);
+            for i in 0..3 {
+                s.insert(bid(0, i), SimTime::from_secs(i));
+            }
+            assert!(s.check_invariants());
+            s
+        };
+        let mut s = fresh();
+        let second = s.slots[s.head as usize].next;
+        s.slots[second as usize].prev = NIL;
+        assert!(!s.check_invariants(), "back link disagrees");
+        let mut s = fresh();
+        let head = s.head as usize;
+        s.slots[head].entry.last_access = SimTime::from_secs(9);
+        assert!(!s.check_invariants(), "access times decrease");
+        let mut s = fresh();
+        s.unlink(s.tail);
+        assert!(!s.check_invariants(), "list shorter than the index");
+        let mut s = fresh();
+        let (head, tail) = (s.head, s.tail as usize);
+        s.slots[tail].next = head;
+        assert!(!s.check_invariants(), "cycle");
+    }
+
+    /// Block ids from least to most recently accessed.
+    fn lru_order(s: &BlockStore) -> Vec<BlockId> {
+        s.lru_slots().map(|slot| slot.id).collect()
+    }
+
+    #[test]
+    fn older_inserts_walk_back_to_their_exact_place() {
+        let mut s = BlockStore::new(5);
+        s.insert(bid(0, 0), SimTime::from_secs(1));
+        s.insert(bid(0, 1), SimTime::from_secs(5));
+        s.insert(bid(0, 2), SimTime::from_secs(5));
+        // Ties on access time go after the earlier accesses.
+        s.insert_with_access(bid(0, 3), SimTime::from_secs(5), SimTime::ZERO);
+        s.insert_with_access(bid(0, 4), SimTime::from_secs(3), SimTime::ZERO);
+        assert_eq!(
+            lru_order(&s),
+            vec![bid(0, 0), bid(0, 4), bid(0, 1), bid(0, 2), bid(0, 3)]
+        );
+        s.remove(bid(0, 0));
+        s.insert_with_access(bid(0, 0), SimTime::ZERO, SimTime::ZERO);
+        assert_eq!(s.lru_block(), Some((bid(0, 0), SimTime::ZERO)), "new head");
+        assert!(s.check_invariants());
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub mod session;
 pub(crate) mod shard;
 pub mod sim;
 #[cfg(test)]
+mod store_equivalence;
+#[cfg(test)]
 mod victim_equivalence;
 
 pub use client::{ClientCache, FlushCause};

@@ -88,25 +88,28 @@ fn gather(
     // shards it records land in the global registry with a deterministic
     // path — on worker threads the frame is also what flushes them at
     // all; a bare `scope.spawn` would drop its thread-locals on exit.
+    // Each frame is joined on this thread, which folds its simulated time
+    // into the caller's open spans.
     let base = nvfs_obs::task_path();
     if nvfs_par::jobs() <= 1 {
         return (
-            nvfs_obs::task_frame(&base, 0, tab1::run),
-            nvfs_obs::task_frame(&base, 1, || fig2::run(env)),
-            nvfs_obs::task_frame(&base, 2, || fig3::run(env)),
-            nvfs_obs::task_frame(&base, 3, || fig4::run(env)),
-            nvfs_obs::task_frame(&base, 4, || fig5::run(env)),
-            nvfs_obs::task_frame(&base, 5, || tab3::run(env)),
-            nvfs_obs::task_frame(&base, 6, || write_buffer::run(env)),
-            nvfs_obs::task_frame(&base, 7, disk_sort::run),
-            nvfs_obs::task_frame(&base, 8, || bus_nvram::run(env)),
-            nvfs_obs::task_frame(&base, 9, presto::run),
-            nvfs_obs::task_frame(&base, 10, read_latency::run),
+            nvfs_obs::task_frame(&base, 0, tab1::run).join(),
+            nvfs_obs::task_frame(&base, 1, || fig2::run(env)).join(),
+            nvfs_obs::task_frame(&base, 2, || fig3::run(env)).join(),
+            nvfs_obs::task_frame(&base, 3, || fig4::run(env)).join(),
+            nvfs_obs::task_frame(&base, 4, || fig5::run(env)).join(),
+            nvfs_obs::task_frame(&base, 5, || tab3::run(env)).join(),
+            nvfs_obs::task_frame(&base, 6, || write_buffer::run(env)).join(),
+            nvfs_obs::task_frame(&base, 7, disk_sort::run).join(),
+            nvfs_obs::task_frame(&base, 8, || bus_nvram::run(env)).join(),
+            nvfs_obs::task_frame(&base, 9, presto::run).join(),
+            nvfs_obs::task_frame(&base, 10, read_latency::run).join(),
             nvfs_obs::task_frame(&base, 11, || {
                 verify_net::run(env).expect("verify-net sweep failed")
-            }),
-            nvfs_obs::task_frame(&base, 12, || lfs_wal_vs_buffer::run(env)),
-            nvfs_obs::task_frame(&base, 13, || scrub_overhead::run(env)),
+            })
+            .join(),
+            nvfs_obs::task_frame(&base, 12, || lfs_wal_vs_buffer::run(env)).join(),
+            nvfs_obs::task_frame(&base, 13, || scrub_overhead::run(env)).join(),
         );
     }
     // The sub-experiments return heterogeneous types, so fan out with
@@ -133,20 +136,20 @@ fn gather(
         let wl = s.spawn(move || nvfs_obs::task_frame(base, 12, || lfs_wal_vs_buffer::run(env)));
         let so = s.spawn(move || nvfs_obs::task_frame(base, 13, || scrub_overhead::run(env)));
         (
-            t1.join().expect("tab1 panicked"),
-            f2.join().expect("fig2 panicked"),
-            f3.join().expect("fig3 panicked"),
-            f4.join().expect("fig4 panicked"),
-            f5.join().expect("fig5 panicked"),
-            t3.join().expect("tab3 panicked"),
-            wb.join().expect("write_buffer panicked"),
-            ds.join().expect("disk_sort panicked"),
-            bn.join().expect("bus_nvram panicked"),
-            p.join().expect("presto panicked"),
-            rl.join().expect("read_latency panicked"),
-            vn.join().expect("verify_net panicked"),
-            wl.join().expect("lfs_wal_vs_buffer panicked"),
-            so.join().expect("scrub_overhead panicked"),
+            t1.join().expect("tab1 panicked").join(),
+            f2.join().expect("fig2 panicked").join(),
+            f3.join().expect("fig3 panicked").join(),
+            f4.join().expect("fig4 panicked").join(),
+            f5.join().expect("fig5 panicked").join(),
+            t3.join().expect("tab3 panicked").join(),
+            wb.join().expect("write_buffer panicked").join(),
+            ds.join().expect("disk_sort panicked").join(),
+            bn.join().expect("bus_nvram panicked").join(),
+            p.join().expect("presto panicked").join(),
+            rl.join().expect("read_latency panicked").join(),
+            vn.join().expect("verify_net panicked").join(),
+            wl.join().expect("lfs_wal_vs_buffer panicked").join(),
+            so.join().expect("scrub_overhead panicked").join(),
         )
     })
 }

@@ -412,10 +412,16 @@ pub struct RollForward {
 /// prefix of it hashes differently, which is all a checksum must provide.
 /// The hasher is the shared [`nvfs_types::framing`] implementation, so the
 /// segment summaries and the WAL records use one checksum definition.
+/// Each block's `"{file}:{index};"` text is formatted into one reused
+/// buffer, so hashing a segment allocates once.
 fn segment_checksum(blocks: &[BlockId]) -> u64 {
+    use std::fmt::Write;
     let mut d = nvfs_types::framing::Fnv64::new();
+    let mut text = String::with_capacity(32);
     for b in blocks {
-        d.update(&format!("{}:{};", b.file.0, b.index));
+        text.clear();
+        let _ = write!(text, "{}:{};", b.file.0, b.index);
+        d.update(&text);
     }
     d.value()
 }
@@ -439,6 +445,7 @@ mod tests {
             BlockId::new(FileId(3), 0),
             BlockId::new(FileId(3), 1),
             BlockId::new(FileId(7), 2),
+            BlockId::new(FileId(u32::MAX), u64::MAX),
         ];
         let mut d = nvfs_obs::digest::Digest::new();
         for b in &blocks {

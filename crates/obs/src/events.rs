@@ -196,8 +196,9 @@ mod tests {
         task_frame(&[], 1, || {
             event("seg_write", 10).str("cause", "fsync").emit();
             event("seg_write", 5).u64("seg", 1).emit();
-        });
-        task_frame(&[], 0, || event("seg_write", 5).u64("seg", 0).emit());
+        })
+        .join();
+        task_frame(&[], 0, || event("seg_write", 5).u64("seg", 0).emit()).join();
         set_trace_enabled(false);
         let evs = sorted();
         assert_eq!(evs.len(), 3);

@@ -37,7 +37,7 @@ pub mod timing;
 pub use events::{event, set_trace_enabled, trace_enabled};
 pub use manifest::RunManifest;
 pub use metrics::{counter_add, gauge_set, histogram_record, Snapshot};
-pub use sink::{flush_local, task_frame, task_path};
+pub use sink::{flush_local, task_frame, task_path, Framed};
 pub use timing::{span, timed};
 
 /// Clears all observability state: shards, thread-local buffers, parallel

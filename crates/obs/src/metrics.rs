@@ -160,8 +160,9 @@ mod tests {
         task_frame(&[], 0, || {
             counter_add("m.test.c", 3);
             gauge_set("m.test.g", 10);
-        });
-        task_frame(&[], 1, || gauge_set("m.test.g", 20));
+        })
+        .join();
+        task_frame(&[], 1, || gauge_set("m.test.g", 20)).join();
         let snap = Snapshot::take();
         assert_eq!(snap.counters["m.test.c"], 5);
         assert_eq!(snap.gauges["m.test.g"], 20, "task 1 submitted after task 0");

@@ -88,14 +88,41 @@ pub fn task_path() -> Vec<u32> {
 /// though their own thread-local path is empty. `nvfs-par` calls this for
 /// every `par_map` item on both its sequential and parallel paths, which
 /// is what keeps shard layout independent of the job count.
-pub fn task_frame<R>(base: &[u32], index: u32, f: impl FnOnce() -> R) -> R {
+///
+/// The frame also starts its own simulated-time mark (see
+/// [`crate::timing::set_span_sim_us`]). The result comes back as a
+/// [`Framed`] that the submitter must [`Framed::join`] on its own thread,
+/// which folds the task's mark into the submitter's frame.
+pub fn task_frame<R>(base: &[u32], index: u32, f: impl FnOnce() -> R) -> Framed<R> {
     let mut path = base.to_vec();
     path.push(index);
     let saved = with_local(|l| std::mem::replace(l, Shard::new(path)));
-    let out = f();
+    let saved_sim = crate::timing::enter_frame();
+    let value = f();
+    let sim_mark = crate::timing::leave_frame(saved_sim);
     let fresh = with_local(|l| std::mem::replace(l, saved));
     flush_shard(fresh);
-    out
+    Framed { value, sim_mark }
+}
+
+/// The result of a finished [`task_frame`], not yet joined into the frame
+/// that submitted it.
+#[derive(Debug)]
+#[must_use = "join the task on the submitting thread"]
+pub struct Framed<R> {
+    value: R,
+    sim_mark: u64,
+}
+
+impl<R> Framed<R> {
+    /// Folds the task's simulated-time mark into the calling thread's
+    /// current frame and returns the task's result. Call it on the
+    /// submitting thread: a span open there then counts the task's
+    /// simulated time, and no span elsewhere does.
+    pub fn join(self) -> R {
+        crate::timing::fold_sim_mark(self.sim_mark);
+        self.value
+    }
 }
 
 /// Flushes the calling thread's buffer (keeping its path) so its contents
@@ -156,13 +183,14 @@ mod tests {
         let _g = test_lock();
         reset();
         crate::metrics::counter_add("sink.test.root", 1);
-        task_frame(&[], 1, || crate::metrics::counter_add("sink.test.t1", 10));
+        task_frame(&[], 1, || crate::metrics::counter_add("sink.test.t1", 10)).join();
         task_frame(&[], 0, || {
             crate::metrics::counter_add("sink.test.t0", 5);
             let base = task_path();
             assert_eq!(base, vec![0]);
-            task_frame(&base, 2, || crate::metrics::counter_add("sink.test.t02", 7));
-        });
+            task_frame(&base, 2, || crate::metrics::counter_add("sink.test.t02", 7)).join();
+        })
+        .join();
         let shards = merged_shards();
         let paths: Vec<Vec<u32>> = shards.iter().map(|s| s.path.clone()).collect();
         assert_eq!(

@@ -14,10 +14,14 @@
 //! is enabled each span additionally emits `span` begin/end events (at
 //! `t_us = 0`, outside simulated time).
 //!
+//! Simulated time noted by a workload ([`set_span_sim_us`]) is kept per
+//! task frame, so a span counts only its own work and the tasks it joined,
+//! never a session running at the same time on another thread.
+//!
 //! Per-task totals from `nvfs-par` land here too, via [`add_task_wall`]:
 //! a cumulative task count and wall-clock sum, reported in manifest meta.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -40,16 +44,35 @@ pub struct SpanRecord {
 thread_local! {
     /// Child wall ms accumulated by each open span on this thread.
     static STACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+
+    /// High-water mark of simulated time noted in this thread's current
+    /// task frame, including the tasks it has joined.
+    ///
+    /// Simulation work often runs on `nvfs-par` worker threads, so a note
+    /// must reach spans on the submitting thread. It does so at the join:
+    /// [`crate::sink::task_frame`] starts each task at 0 and hands its
+    /// mark back to the submitter, which folds it in with `max`. Within a
+    /// frame the notes come in program order and `max` is commutative
+    /// across the joined tasks, so the value a span observes is identical
+    /// at any job count.
+    static FRAME_SIM: Cell<u64> = const { Cell::new(0) };
 }
 
-/// High-water mark of simulated time noted via [`set_span_sim_us`].
-///
-/// A process-global **max** rather than a per-span slot: simulation work
-/// often runs on `nvfs-par` worker threads, where a thread-local span
-/// stack would silently drop the note (and make the recorded value depend
-/// on `--jobs`). `max` is commutative, so the value a span observes is
-/// identical at any job count.
-static SIM_MAX: AtomicU64 = AtomicU64::new(0);
+/// Starts a task frame's mark at 0, returning the enclosing frame's.
+pub(crate) fn enter_frame() -> u64 {
+    FRAME_SIM.replace(0)
+}
+
+/// Ends a task frame: restores the enclosing frame's mark (`saved`, from
+/// [`enter_frame`]) and returns the finished frame's.
+pub(crate) fn leave_frame(saved: u64) -> u64 {
+    FRAME_SIM.replace(saved)
+}
+
+/// Folds `mark` into the current frame's high-water mark.
+pub(crate) fn fold_sim_mark(mark: u64) {
+    FRAME_SIM.set(FRAME_SIM.get().max(mark));
+}
 
 /// Runs `f` inside a named span, recording a [`SpanRecord`] into the
 /// current task shard and returning it alongside the result.
@@ -59,11 +82,11 @@ pub fn timed<R>(name: &str, f: impl FnOnce() -> R) -> (R, SpanRecord) {
         .str("phase", "begin")
         .emit();
     STACK.with(|s| s.borrow_mut().push(0.0));
-    let sim_at_open = SIM_MAX.load(Ordering::Relaxed);
+    let sim_at_open = FRAME_SIM.get();
     let start = Instant::now();
     let out = f();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let sim_at_close = SIM_MAX.load(Ordering::Relaxed);
+    let sim_at_close = FRAME_SIM.get();
     let child_ms = STACK.with(|s| s.borrow_mut().pop()).unwrap_or(0.0);
     STACK.with(|s| {
         if let Some(parent_child_ms) = s.borrow_mut().last_mut() {
@@ -95,10 +118,10 @@ pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
 }
 
 /// Notes simulated time reached by the running workload. Every span open
-/// while the high-water mark advances reports the new mark as its
-/// `sim_us`; order- and thread-independent, so jobs-invariant.
+/// in this task frame while its high-water mark advances (directly or by
+/// joining a task that noted more) reports the new mark as its `sim_us`.
 pub fn set_span_sim_us(sim_us: u64) {
-    SIM_MAX.fetch_max(sim_us, Ordering::Relaxed);
+    fold_sim_mark(sim_us);
 }
 
 /// All recorded spans, merged in submission order.
@@ -126,18 +149,19 @@ pub fn task_totals() -> (u64, u64) {
     )
 }
 
-/// Zeroes the per-task totals and the sim high-water mark (part of
-/// [`crate::reset`]).
+/// Zeroes the per-task totals and the calling thread's sim high-water
+/// mark (part of [`crate::reset`]).
 pub(crate) fn reset_task_totals() {
     TASKS.store(0, Ordering::Relaxed);
     TASK_WALL_US.store(0, Ordering::Relaxed);
-    SIM_MAX.store(0, Ordering::Relaxed);
+    FRAME_SIM.set(0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{reset, test_lock};
+    use crate::sink::{reset, task_frame, test_lock};
+    use std::sync::Barrier;
 
     #[test]
     fn nested_spans_do_not_double_count() {
@@ -167,11 +191,13 @@ mod tests {
         let _g = test_lock();
         reset();
         reset_task_totals();
-        // Noted from another thread (as under par_map): still attaches.
+        // Noted in a task on another thread (as under par_map): attaches
+        // once the task is joined.
         let (_, rec) = timed("phase", || {
-            std::thread::spawn(|| set_span_sim_us(1_000_000))
+            std::thread::spawn(|| task_frame(&[], 0, || set_span_sim_us(1_000_000)))
                 .join()
-                .unwrap();
+                .unwrap()
+                .join();
         });
         assert_eq!(rec.sim_us, 1_000_000);
         // A later span during which the mark does not advance reports 0.
@@ -179,6 +205,33 @@ mod tests {
         assert_eq!(idle.sim_us, 0);
         reset();
         reset_task_totals();
+    }
+
+    #[test]
+    fn sim_time_noted_by_a_concurrent_task_stays_out_of_other_spans() {
+        let _g = test_lock();
+        reset();
+        let barrier = Barrier::new(2);
+        let (mine, theirs) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                task_frame(&[], 0, || {
+                    timed("theirs", || {
+                        barrier.wait(); // both spans are open
+                        set_span_sim_us(7_000);
+                        barrier.wait(); // noted while "mine" is still open
+                    })
+                    .1
+                })
+            });
+            let (_, mine) = timed("mine", || {
+                barrier.wait();
+                barrier.wait();
+            });
+            (mine, other.join().unwrap().join())
+        });
+        assert_eq!(theirs.sim_us, 7_000);
+        assert_eq!(mine.sim_us, 0, "a concurrent task's note leaked in");
+        reset();
     }
 
     #[test]

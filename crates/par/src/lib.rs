@@ -47,7 +47,9 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use nvfs_obs::Framed;
 
 pub mod bench;
 
@@ -83,11 +85,11 @@ where
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| run_task(&base, i as u32, || f(item)))
+            .map(|(i, item)| run_task(&base, i as u32, || f(item)).join())
             .collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<Framed<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let work = || loop {
         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -108,12 +110,15 @@ where
         work();
     });
     drop(permits);
+    // Joined here, on the submitting thread, so each task's simulated
+    // time reaches this thread's open spans and no other thread's.
     results
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("result slot poisoned")
                 .expect("worker stored every claimed slot")
+                .join()
         })
         .collect()
 }
@@ -159,8 +164,9 @@ fn acquire_extra_workers(want: usize) -> WorkerPermits {
 /// Runs one `par_map` item inside its observability task frame (shared by
 /// the sequential and parallel paths, which is what keeps shard layout
 /// independent of the job count) and accumulates its wall time into the
-/// manifest's volatile per-task totals.
-fn run_task<R>(base: &[u32], index: u32, f: impl FnOnce() -> R) -> R {
+/// manifest's volatile per-task totals. The caller joins the result on
+/// the submitting thread.
+fn run_task<R>(base: &[u32], index: u32, f: impl FnOnce() -> R) -> Framed<R> {
     let start = std::time::Instant::now();
     let out = nvfs_obs::task_frame(base, index, || {
         nvfs_obs::counter_add("par.tasks", 1);
@@ -186,15 +192,16 @@ pub fn set_jobs(n: usize) {
 ///
 /// Unparsable or zero `NVFS_JOBS` values are ignored rather than
 /// honored, so a broken environment degrades to hardware parallelism.
+/// The fallback is resolved once per process (reading the core count can
+/// mean reading cgroup files, and the drive loop asks on every window);
+/// [`set_jobs`] still overrides it at any time.
 pub fn jobs() -> usize {
+    static FALLBACK: OnceLock<usize> = OnceLock::new();
     let configured = CONFIGURED_JOBS.load(Ordering::Relaxed);
     if configured > 0 {
         return configured;
     }
-    if let Some(n) = env_jobs() {
-        return n;
-    }
-    cores()
+    *FALLBACK.get_or_init(|| env_jobs().unwrap_or_else(cores))
 }
 
 /// The host's [`std::thread::available_parallelism`] (1 if unknown) —
@@ -282,6 +289,15 @@ mod tests {
     #[test]
     fn jobs_is_at_least_one() {
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn set_jobs_overrides_the_cached_fallback() {
+        // The same count `nested_par_map_stays_within_worker_cap` sets, so
+        // the two tests cannot disturb each other's process-wide setting.
+        let _ = jobs();
+        set_jobs(3);
+        assert_eq!(jobs(), 3);
     }
 
     #[test]
