@@ -100,6 +100,20 @@ pub struct NetStats {
     pub shed_writes: u64,
 }
 
+impl NetStats {
+    /// Adds another run's counters into this one.
+    pub fn merge(&mut self, other: &NetStats) {
+        self.requests += other.requests;
+        self.retries += other.retries;
+        self.timeouts += other.timeouts;
+        self.degraded_ops += other.degraded_ops;
+        self.dup_suppressed += other.dup_suppressed;
+        self.gave_up += other.gave_up;
+        self.shed_bytes += other.shed_bytes;
+        self.shed_writes += other.shed_writes;
+    }
+}
+
 /// Everything the network layer learned in one run: counters, the
 /// judge's summary, and any wire-contract violations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -19,9 +19,11 @@ use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
 use nvfs_faults::{FaultError, FaultPlanConfig, FaultSchedule, ReliabilityStats};
 use nvfs_lfs::{run_server_faulted, LfsConfig, SEGMENT_BYTES};
 use nvfs_report::{Cell, Table};
+use nvfs_trace::synth::Trace;
 use nvfs_types::SimDuration;
 
 use crate::env::Env;
+use crate::sweep::{self, Judged};
 
 /// Default schedule seed; `nvfs faults --seed` overrides it.
 pub const DEFAULT_SEED: u64 = 42;
@@ -80,10 +82,6 @@ pub struct Faults {
     pub models: Vec<(CacheModelKind, ReliabilityStats)>,
     /// Per-buffer-mode server-crash accounting.
     pub server_modes: Vec<(&'static str, ReliabilityStats)>,
-    /// Client-side scorecard table.
-    pub client_table: Table,
-    /// Server-side scorecard table.
-    pub server_table: Table,
 }
 
 impl Faults {
@@ -94,24 +92,22 @@ impl Faults {
 
     /// §2.3/§4's qualitative claim as a strict ordering on bytes lost.
     pub fn loss_ordering_holds(&self) -> bool {
-        match (
-            self.model(CacheModelKind::Volatile),
-            self.model(CacheModelKind::WriteAside),
-            self.model(CacheModelKind::Unified),
-        ) {
-            (Some(v), Some(w), Some(u)) => {
-                v.bytes_lost() > w.bytes_lost() && w.bytes_lost() > u.bytes_lost()
-            }
-            _ => false,
-        }
+        let lost = |kind| self.model(kind).map(ReliabilityStats::bytes_lost);
+        let unified = lost(CacheModelKind::Unified);
+        // `None` sorts below every `Some`, so a missing model breaks the chain.
+        unified.is_some()
+            && lost(CacheModelKind::Volatile) > lost(CacheModelKind::WriteAside)
+            && lost(CacheModelKind::WriteAside) > unified
     }
+}
 
+impl Judged for Faults {
     /// Both tables plus the ordering verdict, as printed by `nvfs faults`.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "{}\n{}\nloss ordering (bytes lost): volatile > write-aside > unified — {}\n",
-            self.client_table.render(),
-            self.server_table.render(),
+            client_table(self.seed, &self.models).render(),
+            server_table(self.seed, &self.server_modes).render(),
             if self.loss_ordering_holds() {
                 "HOLDS"
             } else {
@@ -119,25 +115,57 @@ impl Faults {
             }
         )
     }
+
+    fn failure(&self) -> Option<String> {
+        (!self.loss_ordering_holds()).then(|| {
+            "bytes-lost ordering volatile > write-aside > unified does not hold".to_string()
+        })
+    }
 }
 
-/// The fault plan applied to one client trace: crash half the clients,
-/// batteries aging on an accelerated clock (mean lifetime four trace
-/// lengths, so single-battery boards die occasionally while triply
-/// redundant ones essentially never do), boards relocated after about a
-/// sixth of the trace. Torn drains are left to the server half so the
-/// client comparison isolates the window-vs-battery story.
-pub(crate) fn client_plan(
-    clients: u32,
-    duration: SimDuration,
-    model: CacheModelKind,
-) -> FaultPlanConfig {
-    let micros = duration.as_micros();
-    FaultPlanConfig::new(clients, duration)
+/// The `SimConfig` of one cache model: the shared volatile cache plus,
+/// for the models with a board, `nvram` bytes of NVRAM.
+pub fn model_config(model: CacheModelKind, nvram: u64) -> SimConfig {
+    match model {
+        CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
+        CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, nvram),
+        CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, nvram),
+        CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, nvram),
+    }
+}
+
+/// The client-crash plan every seeded sweep starts from: crash half the
+/// clients, batteries aging on an accelerated clock (mean lifetime four
+/// trace lengths, so single-battery boards die occasionally while triply
+/// redundant ones essentially never do). The per-model plans share
+/// everything except battery redundancy, so all models see the same
+/// crashes at the same times.
+pub(crate) fn crash_plan(trace: &Trace, model: CacheModelKind) -> FaultPlanConfig {
+    let clients = trace.clients() as u32;
+    let micros = trace.duration().as_micros();
+    FaultPlanConfig::new(clients, trace.duration())
         .with_client_crashes((clients / 2).max(1).min(clients))
         .with_batteries(batteries_for(model))
         .with_battery_mtbf(SimDuration::from_micros(micros.saturating_mul(4).max(1)))
-        .with_relocation_delay(SimDuration::from_micros((micros / 6).max(1)))
+}
+
+/// One `nvfs faults` client case: trace `i`, its own seeded schedule
+/// stream, and the simulator for `model`. Boards are relocated after
+/// about a sixth of the trace; torn drains are left to the server half so
+/// the client comparison isolates the window-vs-battery story. The plain
+/// scorecard and its `--oracle` re-judgment replay exactly these cases.
+pub(crate) fn client_case(
+    env: &Env,
+    seed: u64,
+    model: CacheModelKind,
+    i: usize,
+) -> Result<(&Trace, ClusterSim, FaultSchedule), FaultError> {
+    let trace = env.traces.trace(i);
+    let relocation = SimDuration::from_micros((trace.duration().as_micros() / 6).max(1));
+    let plan = crash_plan(trace, model).with_relocation_delay(relocation);
+    let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
+    let sim = ClusterSim::new(model_config(model, NVRAM_BYTES));
+    Ok((trace, sim, schedule))
 }
 
 /// Runs every trace against `model` under the seeded schedule and merges
@@ -147,33 +175,20 @@ pub fn model_reliability(
     seed: u64,
     model: CacheModelKind,
 ) -> Result<ReliabilityStats, FaultError> {
-    let indices: Vec<usize> = (0..env.traces.traces().len()).collect();
-    let runs = nvfs_par::par_map(indices, nvfs_par::jobs(), |i| {
-        let trace = env.traces.trace(i);
-        let plan = client_plan(trace.clients() as u32, trace.duration(), model);
-        // Each trace gets its own schedule stream; the per-model plans
-        // share everything except battery redundancy, so all models see
-        // the same crashes at the same times.
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = match model {
-            CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-            CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, NVRAM_BYTES),
-            CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, NVRAM_BYTES),
-            CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, NVRAM_BYTES),
-        };
-        Ok(ClusterSim::new(cfg)
-            .run_with_faults(trace.ops(), &schedule)
-            .reliability)
-    });
-    let mut merged = ReliabilityStats::default();
-    for run in runs {
-        merged.merge(&run?);
-    }
-    Ok(merged)
+    let rows = sweep::grid(
+        &[model],
+        env.traces.traces().len(),
+        |&model, i| {
+            let (trace, sim, schedule) = client_case(env, seed, model, i)?;
+            Ok(sim.run_with_faults(trace.ops(), &schedule).reliability)
+        },
+        |acc, next| acc.merge(&next),
+    )?;
+    Ok(rows.into_iter().next().unwrap_or_default())
 }
 
 /// Server write-buffer modes compared under the same crash schedule.
-fn server_configs() -> Vec<(&'static str, LfsConfig)> {
+pub(crate) fn server_configs() -> Vec<(&'static str, LfsConfig)> {
     vec![
         ("none", LfsConfig::direct()),
         ("fsync-absorb", LfsConfig::with_fsync_buffer(512 << 10)),
@@ -211,15 +226,14 @@ pub fn client_table(seed: u64, models: &[(CacheModelKind, ReliabilityStats)]) ->
             "boards dead",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for (model, s) in models {
         table.push_row(vec![
             Cell::from(model_name(*model)),
             Cell::Int(s.client_crashes as i64),
-            kb(s.bytes_at_risk),
-            kb(s.bytes_in_nvram),
-            kb(s.bytes_recovered),
-            kb(s.bytes_lost()),
+            Cell::kb(s.bytes_at_risk),
+            Cell::kb(s.bytes_in_nvram),
+            Cell::kb(s.bytes_recovered),
+            Cell::kb(s.bytes_lost()),
             Cell::Pct(s.loss_pct()),
             Cell::Int(s.boards_dead as i64),
         ]);
@@ -240,14 +254,13 @@ pub fn server_table(seed: u64, modes: &[(&'static str, ReliabilityStats)]) -> Ta
             "lost %",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for (name, s) in modes {
         table.push_row(vec![
             Cell::from(*name),
             Cell::Int(s.server_crashes as i64),
-            kb(s.bytes_lost_buffer),
-            kb(s.bytes_replayed),
-            kb(s.bytes_rewritten_torn),
+            Cell::kb(s.bytes_lost_buffer),
+            Cell::kb(s.bytes_replayed),
+            Cell::kb(s.bytes_rewritten_torn),
             Cell::Pct(s.loss_pct()),
         ]);
     }
@@ -266,8 +279,6 @@ pub fn run_seeded(env: &Env, seed: u64) -> Result<Faults, FaultError> {
     }
     Ok(Faults {
         seed,
-        client_table: client_table(seed, &models),
-        server_table: server_table(seed, &server_modes),
         models,
         server_modes,
     })

@@ -157,7 +157,6 @@ pub fn run_seeded(env: &Env, seed: u64) -> ScrubOverhead {
             "bounce KB",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in &rows {
         let r = &row.report;
         table.push_row(vec![
@@ -168,11 +167,11 @@ pub fn run_seeded(env: &Env, seed: u64) -> ScrubOverhead {
             },
             Cell::Pct(row.overhead_pct),
             Cell::Int(r.events as i64),
-            kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
-            kb(r.bytes_silent),
-            kb(r.bytes_detected),
-            kb(r.bytes_repaired),
-            kb(r.bytes_bounced),
+            Cell::kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
+            Cell::kb(r.bytes_silent),
+            Cell::kb(r.bytes_detected),
+            Cell::kb(r.bytes_repaired),
+            Cell::kb(r.bytes_bounced),
         ]);
     }
     ScrubOverhead { seed, rows, table }

@@ -33,19 +33,21 @@
 //! [`DoubleReplay`]: nvfs_oracle::Verdict::DoubleReplay
 //! [`roll_forward`]: nvfs_lfs::SegmentWriter::roll_forward
 
-use nvfs_core::{CacheModelKind, ClusterSim, SimConfig};
+use std::convert::Infallible;
+
+use nvfs_core::{CacheModelKind, ClusterSim};
 use nvfs_faults::{
-    CrashPointKind, FaultError, FaultPlanConfig, FaultSchedule, ServerCrashFault, WalCrashFault,
-    WalCrashPoint,
+    CrashPointKind, FaultError, FaultSchedule, ServerCrashFault, WalCrashFault, WalCrashPoint,
 };
 use nvfs_lfs::wal_fs::{run_filesystem_wal_faulted, WalFsReport, WalTraceEvent};
-use nvfs_lfs::{run_filesystem_faulted, Chunks, LfsConfig, WalConfig, SEGMENT_BYTES};
+use nvfs_lfs::{run_filesystem_faulted, Chunks, WalConfig, WriteBufferMode};
 use nvfs_oracle::{DurableMap, OracleSummary, WalEvent, WalJudge};
 use nvfs_report::{Cell, Table};
 use nvfs_types::{ClientId, SimDuration, SimTime, BLOCK_SIZE};
 
 use crate::env::Env;
-use crate::faults::{batteries_for, model_name, BASE_BYTES, DEFAULT_SEED, MODELS};
+use crate::faults::{crash_plan, model_config, model_name, DEFAULT_SEED, MODELS};
+use crate::sweep::{self, Judged};
 
 /// NVRAM board size for the sweep: four 4 KB blocks, so the mid-drain
 /// sweep `TornDrainBlocks(0..=4)` crosses every interior block boundary of
@@ -129,6 +131,39 @@ pub struct WalSweepRow {
     pub summary: OracleSummary,
 }
 
+/// The WAL half of the sweep, which `nvfs verify-crash --wal` runs and
+/// prints on its own (the CI smoke golden).
+#[derive(Debug, Clone)]
+pub struct WalSweep {
+    /// The sweep seed.
+    pub seed: u64,
+    /// Rows in [`WalCrashPoint::ALL`] order.
+    pub rows: Vec<WalSweepRow>,
+}
+
+impl WalSweep {
+    /// Merged summary of the WAL rows.
+    pub fn summary(&self) -> OracleSummary {
+        self.rows.iter().map(|r| &r.summary).sum()
+    }
+}
+
+impl Judged for WalSweep {
+    /// The WAL table plus its own verdict line.
+    fn render(&self) -> String {
+        format!(
+            "{}\n{}",
+            wal_table(self.seed, &self.rows).render(),
+            self.summary().verdict_json(self.seed)
+        )
+    }
+
+    fn failure(&self) -> Option<String> {
+        let violations = self.summary().violations();
+        (violations > 0).then(|| format!("durability oracle found {violations} WAL violation(s)"))
+    }
+}
+
 /// Output of the crash-point sweep.
 #[derive(Debug, Clone)]
 pub struct VerifyCrash {
@@ -140,14 +175,8 @@ pub struct VerifyCrash {
     pub summary: OracleSummary,
     /// Server rows, in mode × fraction order.
     pub server_rows: Vec<ServerCheckRow>,
-    /// WAL rows, in [`WalCrashPoint::ALL`] order.
-    pub wal_rows: Vec<WalSweepRow>,
-    /// Client sweep table.
-    pub client_table: Table,
-    /// Server sweep table.
-    pub server_table: Table,
-    /// WAL sweep table.
-    pub wal_table: Table,
+    /// The WAL half.
+    pub wal: WalSweep,
 }
 
 impl VerifyCrash {
@@ -155,11 +184,7 @@ impl VerifyCrash {
     pub fn violations(&self) -> u64 {
         self.rows.iter().map(CrashPointRow::violations).sum::<u64>()
             + self.server_rows.iter().map(|r| r.violations).sum::<u64>()
-            + self
-                .wal_rows
-                .iter()
-                .map(|r| r.summary.violations())
-                .sum::<u64>()
+            + self.wal.summary().violations()
     }
 
     /// Whether every crash point recovered exactly the durable contract.
@@ -189,107 +214,59 @@ impl VerifyCrash {
             server_violations,
         )
     }
+}
 
+impl Judged for VerifyCrash {
     /// All three tables plus the verdict line, as printed by
     /// `nvfs verify-crash`.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "{}\n{}\n{}\n{}\n",
-            self.client_table.render(),
-            self.server_table.render(),
-            self.wal_table.render(),
+            client_table(self.seed, &self.rows).render(),
+            server_table(self.seed, &self.server_rows).render(),
+            wal_table(self.seed, &self.wal.rows).render(),
             self.verdict_json()
         )
     }
 
-    /// Merged summary of the WAL rows alone.
-    pub fn wal_summary(&self) -> OracleSummary {
-        let mut s = OracleSummary::default();
-        for row in &self.wal_rows {
-            s.merge(&row.summary);
-        }
-        s
-    }
-
-    /// The WAL table plus its own verdict line, as printed by
-    /// `nvfs verify-crash --wal` (the CI smoke golden).
-    pub fn render_wal(&self) -> String {
-        format!(
-            "{}\n{}\n",
-            self.wal_table.render(),
-            self.wal_summary().verdict_json(self.seed)
-        )
-    }
-}
-
-/// The base fault plan for one trace: crash half the clients, torn drains
-/// on half the crashes, batteries aging on an accelerated clock. Each
-/// crash point then pins one dimension of this plan via
-/// [`FaultSchedule::apply_crash_point`], leaving the rest seeded.
-fn sweep_plan(clients: u32, duration: SimDuration, model: CacheModelKind) -> FaultPlanConfig {
-    let micros = duration.as_micros();
-    FaultPlanConfig::new(clients, duration)
-        .with_client_crashes((clients / 2).max(1).min(clients))
-        .with_batteries(batteries_for(model))
-        .with_battery_mtbf(SimDuration::from_micros(micros.saturating_mul(4).max(1)))
-        .with_torn_probability(0.5)
-}
-
-fn model_config(model: CacheModelKind) -> SimConfig {
-    let nvram = NVRAM_BLOCKS * BLOCK_SIZE;
-    match model {
-        CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-        CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, nvram),
-        CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, nvram),
-        CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, nvram),
+    fn failure(&self) -> Option<String> {
+        (!self.is_clean())
+            .then(|| format!("durability oracle found {} violation(s)", self.violations()))
     }
 }
 
 /// Runs the client half: every trace × model × crash point, one verified
 /// run each, merged into per-(model, crash point) rows in sweep order.
 pub fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultError> {
-    let kinds = crash_points();
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for kind in &kinds {
-            for i in 0..env.traces.traces().len() {
-                jobs.push((model, *kind, i));
-            }
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, kind, i)| {
-        let trace = env.traces.trace(i);
-        let plan = sweep_plan(trace.clients() as u32, trace.duration(), model);
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
-            .apply_crash_point(kind, FLUSH_TICK);
-        let (report, oracle) =
-            ClusterSim::new(model_config(model)).run_with_faults_verified(trace.ops(), &schedule);
-        Ok((
-            model,
-            kind,
-            oracle.summary(),
-            report.reliability.bytes_recovered,
-        ))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<CrashPointRow> = Vec::new();
-    for run in runs {
-        let (model, kind, summary, recovered) = run?;
-        match rows.last_mut() {
-            Some(row) if row.model == model && row.kind == kind => {
-                row.summary.merge(&summary);
-                row.bytes_recovered += recovered;
-            }
-            _ => rows.push(CrashPointRow {
+    let keys: Vec<(CacheModelKind, CrashPointKind)> = MODELS
+        .into_iter()
+        .flat_map(|model| crash_points().into_iter().map(move |kind| (model, kind)))
+        .collect();
+    sweep::grid(
+        &keys,
+        env.traces.traces().len(),
+        |&(model, kind), i| {
+            let trace = env.traces.trace(i);
+            // The `nvfs faults` crash plan with torn drains on half the
+            // crashes; the crash point then pins one dimension of it,
+            // leaving the rest seeded.
+            let plan = crash_plan(trace, model).with_torn_probability(0.5);
+            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?
+                .apply_crash_point(kind, FLUSH_TICK);
+            let sim = ClusterSim::new(model_config(model, NVRAM_BLOCKS * BLOCK_SIZE));
+            let (report, oracle) = sim.run_with_faults_verified(trace.ops(), &schedule);
+            Ok(CrashPointRow {
                 model,
                 kind,
-                summary,
-                bytes_recovered: recovered,
-            }),
-        }
-    }
-    Ok(rows)
+                summary: oracle.summary(),
+                bytes_recovered: report.reliability.bytes_recovered,
+            })
+        },
+        |row, next| {
+            row.summary.merge(&next.summary);
+            row.bytes_recovered += next.bytes_recovered;
+        },
+    )
 }
 
 /// Verified replay of the plain `nvfs faults` client schedules: the exact
@@ -297,112 +274,85 @@ pub fn client_sweep(env: &Env, seed: u64) -> Result<Vec<CrashPointRow>, FaultErr
 /// oracle. Backs the `nvfs faults --oracle` flag, which must exit nonzero
 /// if the accounted scorecard ever disagrees with the durability contract.
 pub fn faults_oracle_summary(env: &Env, seed: u64) -> Result<OracleSummary, FaultError> {
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for i in 0..env.traces.traces().len() {
-            jobs.push((model, i));
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, i)| {
-        let trace = env.traces.trace(i);
-        let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-        let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)?;
-        let cfg = match model {
-            CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-            CacheModelKind::WriteAside => {
-                SimConfig::write_aside(BASE_BYTES, crate::faults::NVRAM_BYTES)
-            }
-            CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, crate::faults::NVRAM_BYTES),
-            CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, crate::faults::NVRAM_BYTES),
-        };
-        let (_, oracle) = ClusterSim::new(cfg).run_with_faults_verified(trace.ops(), &schedule);
-        Ok(oracle.summary())
-    });
-    let mut merged = OracleSummary::default();
-    for run in runs {
-        merged.merge(&run?);
-    }
-    Ok(merged)
+    let per_model = sweep::grid(
+        &MODELS,
+        env.traces.traces().len(),
+        |&model, i| {
+            let (trace, sim, schedule) = crate::faults::client_case(env, seed, model, i)?;
+            let (_, oracle) = sim.run_with_faults_verified(trace.ops(), &schedule);
+            Ok(oracle.summary())
+        },
+        |acc, next| acc.merge(&next),
+    )?;
+    Ok(per_model.iter().sum())
 }
 
-/// Server write-buffer modes swept (the volatile `none` mode has nothing
-/// to replay, hence nothing for a torn write to tear).
-fn server_modes() -> Vec<(&'static str, LfsConfig)> {
-    vec![
-        ("fsync-absorb", LfsConfig::with_fsync_buffer(512 << 10)),
-        ("stage-all", LfsConfig::with_staging_buffer(SEGMENT_BYTES)),
-    ]
-}
-
-/// Runs the server half: each write-buffer mode crashed at the quartiles
-/// of every workload, torn at each fraction, and checked for byte-exact
-/// equivalence with the untorn baseline crash.
+/// Runs the server half: each NVRAM write-buffer mode of the `nvfs
+/// faults` study (the volatile `none` mode has nothing to replay, hence
+/// nothing for a torn write to tear) crashed at the quartiles of every
+/// workload, torn at each fraction, and checked for byte-exact
+/// equivalence with the untorn baseline crash. Rows come out mode ×
+/// fraction, each aggregated over quartiles and workloads.
 pub fn server_sweep(env: &Env) -> Vec<ServerCheckRow> {
     let duration = env.trace_config.duration().as_micros();
-    let quartiles: Vec<SimTime> = (1..=3)
-        .map(|q| SimTime::from_micros(duration * q / 4))
+    let modes: Vec<_> = crate::faults::server_configs()
+        .into_iter()
+        .filter(|(_, config)| config.buffer != WriteBufferMode::None)
         .collect();
-    let mut jobs = Vec::new();
-    for (mode, config) in server_modes() {
-        for &at in &quartiles {
-            for i in 0..env.server.len() {
-                jobs.push((mode, config, at, i));
-            }
-        }
-    }
-    let cases = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(mode, config, at, i)| {
-        let workload = &env.server[i];
-        let untorn = ServerCrashFault {
-            time: at,
-            torn_segment: None,
-        };
-        let (base_report, base_rel) = run_filesystem_faulted(workload, &config, &[untorn]);
-        let mut out = Vec::with_capacity(SERVER_FRACTIONS.len());
-        for &fraction in &SERVER_FRACTIONS {
-            let torn = ServerCrashFault {
+    let workloads = env.server.len();
+    // Items run quartile-major over the workloads, so the untorn baseline
+    // runs once per crash and every fraction is checked against it.
+    let rows = sweep::grid(
+        &modes,
+        3 * workloads,
+        |&(mode, config), item| {
+            let at = SimTime::from_micros(duration * (1 + item / workloads) as u64 / 4);
+            let workload = &env.server[item % workloads];
+            let untorn = ServerCrashFault {
                 time: at,
-                torn_segment: Some(fraction),
+                torn_segment: None,
             };
-            let (report, rel) = run_filesystem_faulted(workload, &config, &[torn]);
-            // The torn run must reconverge with the untorn baseline: the
-            // tear may cost a rewrite but never change what reaches disk.
-            let checks: [bool; 5] = [
-                report.data_bytes() == base_report.data_bytes(),
-                rel.bytes_replayed == base_rel.bytes_replayed,
-                rel.bytes_lost() == base_rel.bytes_lost(),
-                report.records.iter().all(|r| r.is_valid()),
-                rel.bytes_rewritten_torn % BLOCK_SIZE == 0,
-            ];
-            out.push(ServerCheckRow {
-                mode,
-                fraction,
-                crashes: 1,
-                bytes_replayed: rel.bytes_replayed,
-                bytes_rewritten: rel.bytes_rewritten_torn,
-                checks: checks.len() as u64,
-                violations: checks.iter().filter(|ok| !**ok).count() as u64,
-            });
-        }
-        out
-    });
-    // Aggregate per (mode, fraction), keeping mode × fraction order.
-    let mut rows: Vec<ServerCheckRow> = Vec::new();
-    for case in cases.into_iter().flatten() {
-        match rows
-            .iter_mut()
-            .find(|r| r.mode == case.mode && r.fraction == case.fraction)
-        {
-            Some(row) => {
+            let (base_report, base_rel) = run_filesystem_faulted(workload, &config, &[untorn]);
+            let mut out = Vec::with_capacity(SERVER_FRACTIONS.len());
+            for &fraction in &SERVER_FRACTIONS {
+                let torn = ServerCrashFault {
+                    time: at,
+                    torn_segment: Some(fraction),
+                };
+                let (report, rel) = run_filesystem_faulted(workload, &config, &[torn]);
+                // The torn run must reconverge with the untorn baseline: the
+                // tear may cost a rewrite but never change what reaches disk.
+                let checks: [bool; 5] = [
+                    report.data_bytes() == base_report.data_bytes(),
+                    rel.bytes_replayed == base_rel.bytes_replayed,
+                    rel.bytes_lost() == base_rel.bytes_lost(),
+                    report.records.iter().all(|r| r.is_valid()),
+                    rel.bytes_rewritten_torn % BLOCK_SIZE == 0,
+                ];
+                out.push(ServerCheckRow {
+                    mode,
+                    fraction,
+                    crashes: 1,
+                    bytes_replayed: rel.bytes_replayed,
+                    bytes_rewritten: rel.bytes_rewritten_torn,
+                    checks: checks.len() as u64,
+                    violations: checks.iter().filter(|ok| !**ok).count() as u64,
+                });
+            }
+            Ok::<_, Infallible>(out)
+        },
+        |acc, next| {
+            for (row, case) in acc.iter_mut().zip(next) {
                 row.crashes += case.crashes;
                 row.bytes_replayed += case.bytes_replayed;
                 row.bytes_rewritten += case.bytes_rewritten;
                 row.checks += case.checks;
                 row.violations += case.violations;
             }
-            None => rows.push(case),
-        }
-    }
-    rows
+        },
+    );
+    let Ok(rows) = rows;
+    rows.into_iter().flatten().collect()
 }
 
 fn chunks_to_map(chunks: &Chunks) -> DurableMap {
@@ -451,104 +401,83 @@ pub fn judge_wal_report(
 /// Runs the WAL half: every [`WalCrashPoint`] crashed into every server
 /// workload at a seed-chosen quartile, judged through [`WalJudge`], merged
 /// into per-point rows in lattice order.
-pub fn wal_sweep(env: &Env, seed: u64) -> Vec<WalSweepRow> {
+pub fn wal_sweep(env: &Env, seed: u64) -> WalSweep {
     let duration = env.trace_config.duration().as_micros();
     let config = WalConfig::sprite();
-    let mut jobs = Vec::new();
-    for (point_idx, point) in WalCrashPoint::ALL.iter().enumerate() {
-        for i in 0..env.server.len() {
-            jobs.push((point_idx, *point, i));
-        }
+    let points: Vec<(usize, WalCrashPoint)> = WalCrashPoint::ALL.into_iter().enumerate().collect();
+    let rows = sweep::grid(
+        &points,
+        env.server.len(),
+        |&(point_idx, point), i| {
+            // A deterministic but seed- and case-varying quartile, so the
+            // sweep crosses different log/dirty states without RNG state.
+            let quartile = 1 + ((seed ^ i as u64 ^ point_idx as u64) % 3);
+            let crash = WalCrashFault {
+                time: SimTime::from_micros(duration * quartile / 4),
+                point,
+            };
+            let (report, _) = run_filesystem_wal_faulted(&env.server[i], &config, &[crash]);
+            let finish_at = SimTime::from_micros(duration * 2);
+            Ok::<_, Infallible>(WalSweepRow {
+                point,
+                summary: judge_wal_report(ClientId(i as u32), &report, finish_at),
+            })
+        },
+        |row, next| row.summary.merge(&next.summary),
+    );
+    let Ok(rows) = rows;
+    WalSweep { seed, rows }
+}
+
+/// An oracle-verdict table: the `labels` columns (ending in the count
+/// of judged crashes), then one column per verdict and the expected and
+/// observed byte totals.
+fn oracle_table<'a>(
+    title: &str,
+    labels: &[&str],
+    rows: impl Iterator<Item = (Vec<Cell>, &'a OracleSummary)>,
+) -> Table {
+    let verdicts = ["clean", "lost", "resurrected", "double-replay"];
+    let bytes = ["expected KB", "observed KB"];
+    let mut table = Table::new(title, &[labels, &verdicts, &bytes].concat());
+    for (mut cells, s) in rows {
+        let counts = [
+            s.crash_points,
+            s.clean,
+            s.lost_durable,
+            s.resurrected,
+            s.double_replay,
+        ];
+        cells.extend(counts.map(|n| Cell::Int(n as i64)));
+        cells.extend([Cell::kb(s.bytes_expected), Cell::kb(s.bytes_observed)]);
+        table.push_row(cells);
     }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(point_idx, point, i)| {
-        // A deterministic but seed- and case-varying quartile, so the
-        // sweep crosses different log/dirty states without RNG state.
-        let quartile = 1 + ((seed ^ i as u64 ^ point_idx as u64) % 3);
-        let crash = WalCrashFault {
-            time: SimTime::from_micros(duration * quartile / 4),
-            point,
-        };
-        let (report, _) = run_filesystem_wal_faulted(&env.server[i], &config, &[crash]);
-        let finish_at = SimTime::from_micros(duration * 2);
-        (
-            point,
-            judge_wal_report(ClientId(i as u32), &report, finish_at),
-        )
-    });
-    let mut rows: Vec<WalSweepRow> = Vec::new();
-    for (point, summary) in runs {
-        match rows.last_mut() {
-            Some(row) if row.point == point => row.summary.merge(&summary),
-            _ => rows.push(WalSweepRow { point, summary }),
-        }
-    }
-    rows
+    table
 }
 
 /// Renders the WAL sweep table.
 pub fn wal_table(seed: u64, rows: &[WalSweepRow]) -> Table {
-    let mut table = Table::new(
+    oracle_table(
         &format!("Durability oracle — WAL crash-point sweep (seed {seed})"),
-        &[
-            "crash point",
-            "incidents",
-            "clean",
-            "lost",
-            "resurrected",
-            "double-replay",
-            "expected KB",
-            "observed KB",
-        ],
-    );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
-    for row in rows {
-        let s = &row.summary;
-        table.push_row(vec![
-            Cell::from(row.point.label()),
-            Cell::Int(s.crash_points as i64),
-            Cell::Int(s.clean as i64),
-            Cell::Int(s.lost_durable as i64),
-            Cell::Int(s.resurrected as i64),
-            Cell::Int(s.double_replay as i64),
-            kb(s.bytes_expected),
-            kb(s.bytes_observed),
-        ]);
-    }
-    table
+        &["crash point", "incidents"],
+        rows.iter()
+            .map(|row| (vec![Cell::from(row.point.label())], &row.summary)),
+    )
 }
 
 /// Renders the client sweep table.
 pub fn client_table(seed: u64, rows: &[CrashPointRow]) -> Table {
-    let mut table = Table::new(
+    oracle_table(
         &format!("Durability oracle — client crash-point sweep (seed {seed})"),
-        &[
-            "model",
-            "crash point",
-            "crashes",
-            "clean",
-            "lost",
-            "resurrected",
-            "double-replay",
-            "expected KB",
-            "observed KB",
-        ],
-    );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
-    for row in rows {
-        let s = &row.summary;
-        table.push_row(vec![
-            Cell::from(model_name(row.model)),
-            Cell::Text(row.kind.to_string()),
-            Cell::Int(s.crash_points as i64),
-            Cell::Int(s.clean as i64),
-            Cell::Int(s.lost_durable as i64),
-            Cell::Int(s.resurrected as i64),
-            Cell::Int(s.double_replay as i64),
-            kb(s.bytes_expected),
-            kb(s.bytes_observed),
-        ]);
-    }
-    table
+        &["model", "crash point", "crashes"],
+        rows.iter().map(|row| {
+            let labels = vec![
+                Cell::from(model_name(row.model)),
+                Cell::Text(row.kind.to_string()),
+            ];
+            (labels, &row.summary)
+        }),
+    )
 }
 
 /// Renders the server sweep table.
@@ -565,17 +494,13 @@ pub fn server_table(seed: u64, rows: &[ServerCheckRow]) -> Table {
             "violations",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
         table.push_row(vec![
             Cell::from(row.mode),
-            Cell::Float {
-                value: row.fraction,
-                precision: 1,
-            },
+            Cell::f1(row.fraction),
             Cell::Int(row.crashes as i64),
-            kb(row.bytes_replayed),
-            kb(row.bytes_rewritten),
+            Cell::kb(row.bytes_replayed),
+            Cell::kb(row.bytes_rewritten),
             Cell::Int(row.checks as i64),
             Cell::Int(row.violations as i64),
         ]);
@@ -586,24 +511,16 @@ pub fn server_table(seed: u64, rows: &[ServerCheckRow]) -> Table {
 /// Runs the full sweep under `seed`.
 pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyCrash, FaultError> {
     let rows = client_sweep(env, seed)?;
-    let mut summary = OracleSummary::default();
-    for row in &rows {
-        summary.merge(&row.summary);
-    }
+    let mut summary: OracleSummary = rows.iter().map(|r| &r.summary).sum();
     let server_rows = server_sweep(env);
-    let wal_rows = wal_sweep(env, seed);
-    for row in &wal_rows {
-        summary.merge(&row.summary);
-    }
+    let wal = wal_sweep(env, seed);
+    summary.merge(&wal.summary());
     Ok(VerifyCrash {
         seed,
-        client_table: client_table(seed, &rows),
-        server_table: server_table(seed, &server_rows),
-        wal_table: wal_table(seed, &wal_rows),
         rows,
         summary,
         server_rows,
-        wal_rows,
+        wal,
     })
 }
 
@@ -657,8 +574,8 @@ mod tests {
     #[test]
     fn wal_rows_cover_the_crash_point_lattice() {
         let out = run(&Env::tiny()).unwrap();
-        assert_eq!(out.wal_rows.len(), WalCrashPoint::ALL.len());
-        for (row, point) in out.wal_rows.iter().zip(WalCrashPoint::ALL) {
+        assert_eq!(out.wal.rows.len(), WalCrashPoint::ALL.len());
+        for (row, point) in out.wal.rows.iter().zip(WalCrashPoint::ALL) {
             assert_eq!(row.point, point);
             // 8 workload crashes + 8 shutdown truncation checks per point.
             assert_eq!(row.summary.crash_points, 16, "{point}");
@@ -666,10 +583,11 @@ mod tests {
         }
         // Post-append crashes force real replays, so the sweep exercises
         // the promise machinery rather than judging empty incidents.
-        assert!(out.wal_summary().bytes_observed > 0);
-        assert!(out.render_wal().contains("WAL crash-point sweep"));
+        assert!(out.wal.summary().bytes_observed > 0);
+        assert!(out.wal.render().contains("WAL crash-point sweep"));
         assert!(out
-            .wal_summary()
+            .wal
+            .summary()
             .verdict_json(out.seed)
             .starts_with("{\"oracle\":\"clean\""));
     }

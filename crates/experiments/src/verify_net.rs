@@ -28,15 +28,15 @@
 //! [`DoubleApply`]: nvfs_oracle::NetVerdict::DoubleApply
 //! [`PartitionLeak`]: nvfs_oracle::NetVerdict::PartitionLeak
 
-use nvfs_core::{CacheModelKind, ClusterSim, NetStats, SimConfig};
+use nvfs_core::{CacheModelKind, ClusterSim, NetStats};
 use nvfs_faults::net::{NetFaultPlan, NetFaultPlanConfig};
-use nvfs_faults::FaultSchedule;
 use nvfs_oracle::{NetSummary, OracleSummary};
 use nvfs_report::{Cell, Table};
 use nvfs_types::SimDuration;
 
 use crate::env::Env;
-use crate::faults::{model_name, BASE_BYTES, DEFAULT_SEED, MODELS};
+use crate::faults::{client_case, model_config, model_name, BASE_BYTES, DEFAULT_SEED, MODELS};
+use crate::sweep::{self, Judged};
 
 /// NVRAM board size for the write-aside and hybrid rows: big enough to
 /// coalesce overwrites during an outage, small enough that a long
@@ -147,17 +147,6 @@ impl NetRow {
     }
 }
 
-fn merge_stats(into: &mut NetStats, from: &NetStats) {
-    into.requests += from.requests;
-    into.retries += from.retries;
-    into.timeouts += from.timeouts;
-    into.degraded_ops += from.degraded_ops;
-    into.dup_suppressed += from.dup_suppressed;
-    into.gave_up += from.gave_up;
-    into.shed_bytes += from.shed_bytes;
-    into.shed_writes += from.shed_writes;
-}
-
 /// Output of the network sweep.
 #[derive(Debug, Clone)]
 pub struct VerifyNet {
@@ -169,8 +158,6 @@ pub struct VerifyNet {
     pub summary: NetSummary,
     /// Merged durability-oracle summary over the composed rows.
     pub oracle: OracleSummary,
-    /// The sweep table.
-    pub table: Table,
 }
 
 impl VerifyNet {
@@ -198,20 +185,12 @@ impl VerifyNet {
         self.rows.iter().map(NetRow::violations).sum()
     }
 
-    /// Whether no acknowledged byte was lost, no request double-applied,
-    /// no delivery leaked through a partition, the composed crashes
-    /// recovered exactly, and the loss ordering held.
-    pub fn is_clean(&self) -> bool {
-        self.violations() == 0 && self.loss_ordering_holds()
-    }
-
     fn ordering_line(&self) -> String {
-        let kb = |b: u64| b as f64 / 1024.0;
         format!(
-            "loss ordering under pure partitions (KB shed): volatile {:.1} > write-aside {:.1} > unified {:.1} — {}",
-            kb(self.partition_shed(CacheModelKind::Volatile)),
-            kb(self.partition_shed(CacheModelKind::WriteAside)),
-            kb(self.partition_shed(CacheModelKind::Unified)),
+            "loss ordering under pure partitions (KB shed): volatile {} > write-aside {} > unified {} — {}",
+            Cell::kb(self.partition_shed(CacheModelKind::Volatile)),
+            Cell::kb(self.partition_shed(CacheModelKind::WriteAside)),
+            Cell::kb(self.partition_shed(CacheModelKind::Unified)),
             if self.loss_ordering_holds() {
                 "HOLDS"
             } else {
@@ -249,92 +228,81 @@ impl VerifyNet {
             },
         )
     }
+}
 
+impl Judged for VerifyNet {
     /// The table, ordering line and verdict, as printed by
     /// `nvfs verify-net`.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "{}\n{}\n{}\n",
-            self.table.render(),
+            net_table(self.seed, &self.rows).render(),
             self.ordering_line(),
             self.verdict_json()
         )
     }
-}
 
-/// Paper-faithful model configurations for the net sweep: unified gets a
-/// whole-cache NVRAM (its defining trait in §2.1), write-aside and hybrid
-/// a bounded board, volatile none.
-fn model_config(model: CacheModelKind) -> SimConfig {
-    match model {
-        CacheModelKind::Volatile => SimConfig::volatile(BASE_BYTES),
-        CacheModelKind::WriteAside => SimConfig::write_aside(BASE_BYTES, WRITE_ASIDE_NVRAM),
-        CacheModelKind::Unified => SimConfig::unified(BASE_BYTES, BASE_BYTES),
-        CacheModelKind::Hybrid => SimConfig::hybrid(BASE_BYTES, WRITE_ASIDE_NVRAM),
+    fn failure(&self) -> Option<String> {
+        match self.violations() {
+            0 if self.loss_ordering_holds() => None,
+            0 => Some(
+                "partition-loss ordering volatile > write-aside > unified does not hold".into(),
+            ),
+            n => Some(format!("network judge found {n} violation(s)")),
+        }
     }
 }
 
 /// Runs the sweep: every trace × model × schedule, one run each, merged
-/// into per-(model, schedule) rows in sweep order.
+/// into per-(model, schedule) rows in sweep order. Models get the
+/// paper-faithful boards: unified a whole-cache NVRAM (its defining trait
+/// in §2.1), write-aside and hybrid a bounded board, volatile none.
 pub fn sweep(env: &Env, seed: u64) -> Result<Vec<NetRow>, String> {
-    let mut jobs = Vec::new();
-    for model in MODELS {
-        for kind in NET_KINDS {
-            for i in 0..env.traces.traces().len() {
-                jobs.push((model, kind, i));
-            }
-        }
-    }
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(model, kind, i)| {
-        let trace = env.traces.trace(i);
-        let cfg = kind.plan(trace.clients() as u32, trace.duration());
-        let net =
-            NetFaultPlan::compile(seed ^ trace.number() as u64, &cfg).map_err(|e| e.to_string())?;
-        let sim = ClusterSim::new(model_config(model));
-        let (report, oracle) = if kind == NetScheduleKind::PartitionCrash {
-            let plan = crate::faults::client_plan(trace.clients() as u32, trace.duration(), model);
-            let schedule = FaultSchedule::compile(seed ^ trace.number() as u64, &plan)
+    let keys: Vec<(CacheModelKind, NetScheduleKind)> = MODELS
+        .into_iter()
+        .flat_map(|model| NET_KINDS.map(|kind| (model, kind)))
+        .collect();
+    sweep::grid(
+        &keys,
+        env.traces.traces().len(),
+        |&(model, kind), i| {
+            let trace = env.traces.trace(i);
+            let cfg = kind.plan(trace.clients() as u32, trace.duration());
+            let net = NetFaultPlan::compile(seed ^ trace.number() as u64, &cfg)
                 .map_err(|e| e.to_string())?;
-            let (report, oracle) = sim.run_with_net_faults_verified(trace.ops(), &net, &schedule);
-            (report, oracle.summary())
-        } else {
-            (
-                sim.run_with_net_faults(trace.ops(), &net),
-                OracleSummary::default(),
-            )
-        };
-        Ok::<_, String>((
-            model,
-            kind,
-            report.net.stats,
-            report.net.summary,
-            report.reliability.bytes_lost_partition,
-            oracle,
-        ))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<NetRow> = Vec::new();
-    for run in runs {
-        let (model, kind, stats, net, shed, oracle) = run?;
-        match rows.last_mut() {
-            Some(row) if row.model == model && row.kind == kind => {
-                merge_stats(&mut row.stats, &stats);
-                row.net.merge(&net);
-                row.shed_bytes += shed;
-                row.oracle.merge(&oracle);
-            }
-            _ => rows.push(NetRow {
+            let nvram = match model {
+                CacheModelKind::Unified => BASE_BYTES,
+                _ => WRITE_ASIDE_NVRAM,
+            };
+            let sim = ClusterSim::new(model_config(model, nvram));
+            let (report, oracle) = if kind == NetScheduleKind::PartitionCrash {
+                let (_, _, schedule) =
+                    client_case(env, seed, model, i).map_err(|e| e.to_string())?;
+                let (report, oracle) =
+                    sim.run_with_net_faults_verified(trace.ops(), &net, &schedule);
+                (report, oracle.summary())
+            } else {
+                (
+                    sim.run_with_net_faults(trace.ops(), &net),
+                    OracleSummary::default(),
+                )
+            };
+            Ok(NetRow {
                 model,
                 kind,
-                stats,
-                net,
-                shed_bytes: shed,
+                stats: report.net.stats,
+                net: report.net.summary,
+                shed_bytes: report.reliability.bytes_lost_partition,
                 oracle,
-            }),
-        }
-    }
-    Ok(rows)
+            })
+        },
+        |row, next| {
+            row.stats.merge(&next.stats);
+            row.net.merge(&next.net);
+            row.shed_bytes += next.shed_bytes;
+            row.oracle.merge(&next.oracle);
+        },
+    )
 }
 
 /// Renders the sweep table.
@@ -354,7 +322,6 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
             "oracle-viol",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
         table.push_row(vec![
             Cell::from(model_name(row.model)),
@@ -364,7 +331,7 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
             Cell::Int(row.stats.timeouts as i64),
             Cell::Int(row.stats.degraded_ops as i64),
             Cell::Int(row.net.duplicates as i64),
-            kb(row.shed_bytes),
+            Cell::kb(row.shed_bytes),
             Cell::Int(row.net.violations() as i64),
             Cell::Int(row.oracle.violations() as i64),
         ]);
@@ -375,18 +342,11 @@ pub fn net_table(seed: u64, rows: &[NetRow]) -> Table {
 /// Runs the full sweep under `seed`.
 pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyNet, String> {
     let rows = sweep(env, seed)?;
-    let mut summary = NetSummary::default();
-    let mut oracle = OracleSummary::default();
-    for row in &rows {
-        summary.merge(&row.net);
-        oracle.merge(&row.oracle);
-    }
     Ok(VerifyNet {
         seed,
-        table: net_table(seed, &rows),
+        summary: rows.iter().map(|r| &r.net).sum(),
+        oracle: rows.iter().map(|r| &r.oracle).sum(),
         rows,
-        summary,
-        oracle,
     })
 }
 
@@ -402,8 +362,7 @@ mod tests {
     #[test]
     fn tiny_sweep_is_clean_and_ordering_holds() {
         let out = run(&Env::tiny()).unwrap();
-        assert!(out.is_clean(), "{}", out.render());
-        assert!(out.loss_ordering_holds(), "{}", out.render());
+        assert_eq!(out.failure(), None, "{}", out.render());
         // Unified's whole-cache NVRAM absorbs almost everything: its shed
         // must be a small fraction of what write-aside loses to overflow.
         assert!(

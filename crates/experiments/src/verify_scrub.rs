@@ -36,6 +36,7 @@ use nvfs_types::{SimDuration, BLOCK_SIZE};
 
 use crate::env::Env;
 use crate::faults::{BASE_BYTES, DEFAULT_SEED};
+use crate::sweep::{self, Judged};
 use crate::verify_crash::{FLUSH_TICK, NVRAM_BLOCKS};
 
 /// Background scrub period for the sweep: long against the 5-second
@@ -105,8 +106,6 @@ pub struct VerifyScrub {
     pub runs: u64,
     /// Rows in mode × kind × crash-point order.
     pub rows: Vec<ScrubRow>,
-    /// Rendered sweep table.
-    pub table: Table,
 }
 
 impl VerifyScrub {
@@ -154,10 +153,21 @@ impl VerifyScrub {
             self.violations(),
         )
     }
+}
 
+impl Judged for VerifyScrub {
     /// The table plus the verdict line, as printed by `nvfs verify-scrub`.
-    pub fn render(&self) -> String {
-        format!("{}\n{}\n", self.table.render(), self.verdict_json())
+    fn render(&self) -> String {
+        format!(
+            "{}\n{}\n",
+            scrub_table(self.seed, &self.rows).render(),
+            self.verdict_json()
+        )
+    }
+
+    fn failure(&self) -> Option<String> {
+        (!self.is_clean())
+            .then(|| format!("corruption sweep found {} violation(s)", self.violations()))
     }
 }
 
@@ -179,7 +189,6 @@ pub fn scrub_table(seed: u64, rows: &[ScrubRow]) -> Table {
             "viol",
         ],
     );
-    let kb = |b: u64| Cell::f1(b as f64 / 1024.0);
     for row in rows {
         let r = &row.report;
         table.push_row(vec![
@@ -187,12 +196,12 @@ pub fn scrub_table(seed: u64, rows: &[ScrubRow]) -> Table {
             Cell::from(row.kind.label()),
             Cell::Text(row.point.to_string()),
             Cell::Int(r.events as i64),
-            kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
-            kb(r.bytes_detected),
-            kb(r.bytes_silent),
-            kb(r.bytes_repaired),
-            kb(r.bytes_vacated),
-            kb(r.bytes_bounced),
+            Cell::kb(r.bytes_corrupted_dirty + r.bytes_corrupted_clean),
+            Cell::kb(r.bytes_detected),
+            Cell::kb(r.bytes_silent),
+            Cell::kb(r.bytes_repaired),
+            Cell::kb(r.bytes_vacated),
+            Cell::kb(r.bytes_bounced),
             Cell::Int(row.violations() as i64),
         ]);
     }
@@ -203,64 +212,54 @@ pub fn scrub_table(seed: u64, rows: &[ScrubRow]) -> Table {
 /// kind × crash point × trace, on the unified model (the one whose clean
 /// region holds repairable read-cache data).
 pub fn run_seeded(env: &Env, seed: u64) -> Result<VerifyScrub, FaultError> {
-    let mut jobs = Vec::new();
+    let mut keys = Vec::new();
     for mode in ProtectionMode::ALL {
         for kind in CorruptionKind::ALL {
-            for point in CRASH_POINTS {
-                for i in 0..env.traces.traces().len() {
-                    jobs.push((mode, kind, point, i));
-                }
-            }
+            keys.extend(CRASH_POINTS.map(|point| (mode, kind, point)));
         }
     }
-    let runs_total = jobs.len() as u64;
-    let runs = nvfs_par::par_map(jobs, nvfs_par::jobs(), |(mode, kind, point, i)| {
-        let trace = env.traces.trace(i);
-        let clients = trace.clients() as u32;
-        let crashes = (clients / 2).clamp(1, 4);
-        let plan = FaultPlanConfig::new(clients, trace.duration())
-            .with_client_crashes(crashes)
-            .with_torn_probability(0.5);
-        let run_seed = seed ^ trace.number() as u64;
-        let schedule =
-            FaultSchedule::compile(run_seed, &plan)?.apply_crash_point(point, FLUSH_TICK);
-        let corruption = CorruptionSchedule::compile(
-            run_seed,
-            &corruption_plan(clients, trace.duration(), kind),
-        )?;
-        let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
-        let (_, oracle, report) = ClusterSim::new(config).run_with_corruption_verified(
-            trace.ops(),
-            &schedule,
-            &corruption,
-            mode,
-            Some(SCRUB_INTERVAL),
-        );
-        Ok((mode, kind, point, oracle.summary(), report))
-    });
-    // par_map preserves submission order, so folding in run order gives
-    // the same rows at any job count.
-    let mut rows: Vec<ScrubRow> = Vec::new();
-    for run in runs {
-        let (mode, kind, point, summary, report) = run?;
-        match rows.last_mut() {
-            Some(row) if row.mode == mode && row.kind == kind && row.point == point => {
-                row.summary.merge(&summary);
-                row.report.merge(&report);
-            }
-            _ => rows.push(ScrubRow {
+    let traces = env.traces.traces().len();
+    let rows = sweep::grid(
+        &keys,
+        traces,
+        |&(mode, kind, point), i| {
+            let trace = env.traces.trace(i);
+            let clients = trace.clients() as u32;
+            let crashes = (clients / 2).clamp(1, 4);
+            let plan = FaultPlanConfig::new(clients, trace.duration())
+                .with_client_crashes(crashes)
+                .with_torn_probability(0.5);
+            let run_seed = seed ^ trace.number() as u64;
+            let schedule =
+                FaultSchedule::compile(run_seed, &plan)?.apply_crash_point(point, FLUSH_TICK);
+            let corruption = CorruptionSchedule::compile(
+                run_seed,
+                &corruption_plan(clients, trace.duration(), kind),
+            )?;
+            let config = SimConfig::unified(BASE_BYTES, NVRAM_BLOCKS * BLOCK_SIZE);
+            let (_, oracle, report) = ClusterSim::new(config).run_with_corruption_verified(
+                trace.ops(),
+                &schedule,
+                &corruption,
+                mode,
+                Some(SCRUB_INTERVAL),
+            );
+            Ok(ScrubRow {
                 mode,
                 kind,
                 point,
-                summary,
+                summary: oracle.summary(),
                 report,
-            }),
-        }
-    }
+            })
+        },
+        |row, next| {
+            row.summary.merge(&next.summary);
+            row.report.merge(&next.report);
+        },
+    )?;
     Ok(VerifyScrub {
         seed,
-        runs: runs_total,
-        table: scrub_table(seed, &rows),
+        runs: (keys.len() * traces) as u64,
         rows,
     })
 }

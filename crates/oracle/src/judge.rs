@@ -255,6 +255,16 @@ impl OracleSummary {
     }
 }
 
+impl<'a> std::iter::Sum<&'a OracleSummary> for OracleSummary {
+    fn sum<I: Iterator<Item = &'a OracleSummary>>(iter: I) -> Self {
+        let mut total = OracleSummary::default();
+        for s in iter {
+            total.merge(s);
+        }
+        total
+    }
+}
+
 /// The stateful judge: feed it one `(promise, expectation, observed)`
 /// triple per recovered crash and it produces [`CrashReport`]s, tracking
 /// earlier replays of the same crash so double application is caught.

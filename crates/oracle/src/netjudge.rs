@@ -207,6 +207,16 @@ impl NetSummary {
     }
 }
 
+impl<'a> std::iter::Sum<&'a NetSummary> for NetSummary {
+    fn sum<I: Iterator<Item = &'a NetSummary>>(iter: I) -> Self {
+        let mut total = NetSummary::default();
+        for s in iter {
+            total.merge(s);
+        }
+        total
+    }
+}
+
 /// Replays a [`WireEvent`] transcript against the wire contract.
 ///
 /// Partition windows arrive as `(edge, start, end)` tuples — `None`

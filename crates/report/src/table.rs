@@ -31,6 +31,11 @@ impl Cell {
         }
     }
 
+    /// A byte count shown in KB with one decimal.
+    pub fn kb(bytes: u64) -> Cell {
+        Cell::f1(bytes as f64 / 1024.0)
+    }
+
     /// Convenience float with two decimals.
     pub fn f2(value: f64) -> Cell {
         Cell::Float {

@@ -49,6 +49,7 @@ use nvfs::core::{ClusterSim, ConsistencyMode, PolicyKind, SimConfig};
 use nvfs::experiments as exp;
 use nvfs::experiments::env::Env;
 use nvfs::experiments::registry;
+use nvfs::experiments::sweep::Judged;
 use nvfs::experiments::Scale;
 use nvfs::report::catching;
 use nvfs::trace::serialize::{parse_ops, render_ops};
@@ -505,30 +506,62 @@ fn cmd_lfs(mut args: VecDeque<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
+/// The fault sweeps' shared prologue, run after the caller has taken its
+/// own flags: `--scale` and `--seed`, a one-line error for anything left
+/// over, the seeded manifest context (`extra` config keys follow
+/// `command`, `scale` and `seed`) and the jobs banner. The environment is
+/// generated last, so a bad flag fails before any workload is built.
+fn sweep_env(
+    command: &str,
+    mut args: VecDeque<String>,
+    extra: &[(&str, &str)],
+) -> Result<(Env, u64), String> {
     let scale = parse_scale(&mut args)?;
-    let env = scale.env();
     let seed: u64 = take_flag(&mut args, "--seed")?
         .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
         .parse()
         .map_err(|_| "bad --seed")?;
-    let model = take_flag(&mut args, "--model")?;
-    let oracle = take_switch(&mut args, "--oracle");
+    if let Some(arg) = args.front() {
+        return Err(format!("{command}: unexpected argument {arg:?}"));
+    }
     nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "faults"),
+    let seed_text = seed.to_string();
+    let base = [
+        ("command", command),
         ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-        ("model", model.as_deref().unwrap_or("all")),
-    ]);
-    eprintln!("[faults] jobs = {}", nvfs::par::jobs());
+        ("seed", &seed_text),
+    ];
+    note_config(&[&base[..], extra].concat());
+    eprintln!("[{command}] jobs = {}", nvfs::par::jobs());
+    Ok((scale.env(), seed))
+}
+
+/// The fault sweeps' shared epilogue: runs the sweep (a panic or an error
+/// becomes the command's error), prints its report, then fails the
+/// command if the sweep failed its check.
+fn finish<T: Judged, E: ToString>(
+    command: &str,
+    sweep: impl FnOnce() -> Result<T, E>,
+) -> Result<(), String> {
+    let out = catching(command, || sweep().map_err(|e| e.to_string()))?;
+    outln!("{}", out.render());
+    out.failure().map_or(Ok(()), Err)
+}
+
+fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
+    let model = match take_flag(&mut args, "--model")? {
+        Some(name) => Some(exp::faults::parse_model(&name).ok_or_else(|| {
+            format!("unknown model {name:?} (volatile|write-aside|hybrid|unified)")
+        })?),
+        None => None,
+    };
+    let oracle = take_switch(&mut args, "--oracle");
+    let model_key = model.map_or("all", exp::faults::model_name);
+    let (env, seed) = sweep_env("faults", args, &[("model", model_key)])?;
     match model {
         // One model: just that row of the client scorecard (the CI fault
         // matrix runs this once per model and diffs against a golden file).
-        Some(name) => {
-            let kind = exp::faults::parse_model(&name).ok_or_else(|| {
-                format!("unknown model {name:?} (volatile|write-aside|hybrid|unified)")
-            })?;
+        Some(kind) => {
             let stats = catching("faults", || {
                 exp::faults::model_reliability(&env, seed, kind).map_err(|e| e.to_string())
             })?;
@@ -537,17 +570,7 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
                 exp::faults::client_table(seed, &[(kind, stats)]).render()
             );
         }
-        None => {
-            let out = catching("faults", || {
-                exp::faults::run_seeded(&env, seed).map_err(|e| e.to_string())
-            })?;
-            outln!("{}", out.render());
-            if !out.loss_ordering_holds() {
-                return Err(
-                    "bytes-lost ordering volatile > write-aside > unified does not hold".into(),
-                );
-            }
-        }
+        None => finish("faults", || exp::faults::run_seeded(&env, seed))?,
     }
     if oracle {
         // Re-judge the same schedules under the shadow durability model:
@@ -569,107 +592,25 @@ fn cmd_faults(mut args: VecDeque<String>) -> Result<(), String> {
 
 fn cmd_verify_crash(mut args: VecDeque<String>) -> Result<(), String> {
     let wal_only = take_switch(&mut args, "--wal");
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-crash"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-crash] jobs = {}", nvfs::par::jobs());
+    let (env, seed) = sweep_env("verify-crash", args, &[])?;
     if wal_only {
         // The CI smoke path: just the WAL crash-point lattice, judged and
         // rendered with its own verdict line, diffed against a golden.
-        let rows = catching("verify-crash", || {
+        return finish("verify-crash", || {
             Ok::<_, String>(exp::verify_crash::wal_sweep(&env, seed))
-        })?;
-        let mut summary = nvfs::oracle::OracleSummary::default();
-        for row in &rows {
-            summary.merge(&row.summary);
-        }
-        outln!("{}", exp::verify_crash::wal_table(seed, &rows).render());
-        outln!("{}", summary.verdict_json(seed));
-        if summary.violations() > 0 {
-            return Err(format!(
-                "durability oracle found {} WAL violation(s)",
-                summary.violations()
-            ));
-        }
-        return Ok(());
+        });
     }
-    let out = catching("verify-crash", || {
-        exp::verify_crash::run_seeded(&env, seed).map_err(|e| e.to_string())
-    })?;
-    outln!("{}", out.render());
-    if !out.is_clean() {
-        return Err(format!(
-            "durability oracle found {} violation(s)",
-            out.violations()
-        ));
-    }
-    Ok(())
+    finish("verify-crash", || exp::verify_crash::run_seeded(&env, seed))
 }
 
-fn cmd_verify_net(mut args: VecDeque<String>) -> Result<(), String> {
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-net"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-net] jobs = {}", nvfs::par::jobs());
-    let out = catching("verify-net", || exp::verify_net::run_seeded(&env, seed))?;
-    outln!("{}", out.render());
-    if out.violations() > 0 {
-        return Err(format!(
-            "network judge found {} violation(s)",
-            out.violations()
-        ));
-    }
-    if !out.loss_ordering_holds() {
-        return Err(
-            "partition-loss ordering volatile > write-aside > unified does not hold".into(),
-        );
-    }
-    Ok(())
+fn cmd_verify_net(args: VecDeque<String>) -> Result<(), String> {
+    let (env, seed) = sweep_env("verify-net", args, &[])?;
+    finish("verify-net", || exp::verify_net::run_seeded(&env, seed))
 }
 
-fn cmd_verify_scrub(mut args: VecDeque<String>) -> Result<(), String> {
-    let scale = parse_scale(&mut args)?;
-    let env = scale.env();
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .unwrap_or_else(|| exp::faults::DEFAULT_SEED.to_string())
-        .parse()
-        .map_err(|_| "bad --seed")?;
-    nvfs::obs::manifest::set_seed(seed);
-    note_config(&[
-        ("command", "verify-scrub"),
-        ("scale", scale.name()),
-        ("seed", &seed.to_string()),
-    ]);
-    eprintln!("[verify-scrub] jobs = {}", nvfs::par::jobs());
-    let out = catching("verify-scrub", || {
-        exp::verify_scrub::run_seeded(&env, seed).map_err(|e| e.to_string())
-    })?;
-    outln!("{}", out.render());
-    if !out.is_clean() {
-        return Err(format!(
-            "corruption sweep found {} violation(s)",
-            out.violations()
-        ));
-    }
-    Ok(())
+fn cmd_verify_scrub(args: VecDeque<String>) -> Result<(), String> {
+    let (env, seed) = sweep_env("verify-scrub", args, &[])?;
+    finish("verify-scrub", || exp::verify_scrub::run_seeded(&env, seed))
 }
 
 fn cmd_experiments(mut args: VecDeque<String>) -> Result<(), String> {
@@ -930,5 +871,39 @@ fn cmd_obs(mut args: VecDeque<String>) -> Result<(), String> {
             }
         }
         other => Err(format!("unknown obs subcommand {other:?}\n{usage}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nvfs::core::CacheModelKind;
+    use nvfs::faults::ReliabilityStats;
+
+    /// A scorecard whose unified board loses more than the volatile cache
+    /// fails both ways it can be run: the `nvfs faults` epilogue and the
+    /// registry's `faults` entry report the same reason.
+    #[test]
+    fn a_violated_loss_ordering_fails_the_cli_and_the_registry() {
+        let lost = |bytes| ReliabilityStats {
+            bytes_lost_window: bytes,
+            ..ReliabilityStats::default()
+        };
+        let models = vec![
+            (CacheModelKind::Volatile, lost(10)),
+            (CacheModelKind::WriteAside, lost(20)),
+            (CacheModelKind::Unified, lost(30)),
+        ];
+        let out = exp::faults::Faults {
+            seed: 1,
+            models,
+            server_modes: Vec::new(),
+        };
+        assert!(out.render().contains("VIOLATED"));
+        let reason = out.failure().expect("the ordering is violated");
+        let cli = finish("faults", || Ok::<_, String>(out.clone()));
+        assert_eq!(cli, Err(reason.clone()));
+        let registry = registry::Artifacts::judged(Ok::<_, String>(out)).unwrap();
+        assert_eq!(registry.failure, Some(reason));
     }
 }

@@ -197,3 +197,23 @@ fn export_csv_writes_every_artifact() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fault sweeps parse every flag before generating a workload, so a
+/// typo'd flag or a malformed seed fails fast with a one-line error.
+#[test]
+fn sweep_commands_reject_unknown_flags_and_bad_seeds() {
+    for command in ["faults", "verify-crash", "verify-net", "verify-scrub"] {
+        for (args, needle) in [
+            (["--sed", "7"], "unexpected argument \"--sed\""),
+            (["--seed", "abc"], "bad --seed"),
+        ] {
+            let out = nvfs(&[command, args[0], args[1]]);
+            assert!(!out.status.success(), "{command} {args:?} must fail");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with("error: ") && err.contains(needle) && err.lines().count() == 1,
+                "{command} {args:?}: {err}"
+            );
+        }
+    }
+}

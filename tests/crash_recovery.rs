@@ -6,6 +6,7 @@
 use nvfs::core::{ClusterSim, SimConfig};
 use nvfs::experiments as exp;
 use nvfs::experiments::env::Env;
+use nvfs::experiments::sweep::Judged;
 use nvfs::nvram::{BatteryState, NvramBoard, RecoveredData};
 use nvfs::trace::synth::{SpriteTraceSet, TraceSetConfig};
 use nvfs::types::{ByteRange, ClientId, FileId, RangeSet};

@@ -10,6 +10,7 @@ use nvfs::core::{
 };
 use nvfs::experiments as exp;
 use nvfs::experiments::env::Env;
+use nvfs::experiments::sweep::Judged;
 use nvfs::faults::{FaultPlanConfig, FaultSchedule};
 use nvfs::types::{ClientId, FileId, SimTime};
 

@@ -7,6 +7,7 @@
 use nvfs::core::{recover_up_to, ClusterSim, SimConfig};
 use nvfs::experiments as exp;
 use nvfs::experiments::env::Env;
+use nvfs::experiments::sweep::Judged;
 use nvfs::faults::{CrashPointKind, FaultPlanConfig, FaultSchedule};
 use nvfs::nvram::NvramBoard;
 use nvfs::oracle::{
